@@ -107,14 +107,17 @@ def _load_curve(text: str):
 
 
 def _parse_fraction_vector(text: str):
-    return [Fraction(part.strip()) for part in text.split(",")]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise _ParseFailure(f"not a comma-separated list of rationals: {text!r}")
 
 
 def _parse_point(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise _ParseFailure("point must be 'x,y' with rational coordinates")
-    return (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+    return tuple(_parse_fraction_vector(text))
 
 
 def _place_rows(breakdown, keys):

@@ -209,7 +209,8 @@ def minimal_model_q(E: WeierstrassEquation) -> tuple:
             c6i //= p ** 6
     Emin = _model_from_c4c6(c4i, c6i)
     dmin = discriminant(Emin)
-    assert dmin.denominator == 1
+    if dmin.denominator != 1:
+        raise NumericError("minimal discriminant is not an integer (internal error)")
     return Emin, int(dmin)
 
 

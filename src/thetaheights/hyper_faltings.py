@@ -15,7 +15,7 @@ from fractions import Fraction
 import sympy
 from mpmath import mp, mpf
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .theta_engine import SiegelMatrix, as_siegel, j10, phi_product
 from .weierstrass import WeierstrassEquation, discriminant
@@ -117,7 +117,7 @@ def faltings_jacobian(g: int, finite_inputs, tau_list,
                 arch_j = -(mpf(-1) / 5 * mp.log(2) + mp.log(abs(j)) / 10
                            + mp.log(tau.det_imag()) / 2)
                 if abs(arch - arch_j) > ctx.tol() * max(1, abs(arch)):
-                    raise AssertionError("phi-route and J10-route disagree (internal error)")
+                    raise NumericError("phi-route and J10-route disagree (internal error)")
             entries.append((Place.archimedean(), {"arch": arch / d}))
         breakdown = HeightBreakdown.assemble(entries, warnings=tuple(warnings))
         return breakdown.total, breakdown
@@ -196,10 +196,11 @@ def quintic_cm_period_matrix(ctx: PrecisionContext = DEFAULT_CTX) -> SiegelMatri
         T = MA ** -1 * MB
         U = mp.matrix([[-1, 0], [-1, -1]])
         M = U.T * T * U
-        for i in range(2):
-            for j in range(2):
-                M[i, j] = M[i, j] - mp.nint(M[i, j].real if i == j else M[0, 1].real)
-        rows = [[M[0, 0], (M[0, 1] + M[1, 0]) / 2], [(M[0, 1] + M[1, 0]) / 2, M[1, 1]]]
+        # Re tau_12 is exactly -1/2: rounding it half-up at a tolerance far
+        # above the rounding error keeps the representative at every precision
+        t12 = (M[0, 1] + M[1, 0]) / 2
+        t12 -= mp.floor(t12.real + mpf(1) / 2 + ctx.tol())
+        rows = [[M[0, 0] - mp.nint(M[0, 0].real), t12], [t12, M[1, 1] - mp.nint(M[1, 1].real)]]
         return as_siegel(rows, g=2, ctx=ctx)
 
 

@@ -3,6 +3,10 @@
 Archimedean side: the telescoping mu-series built from the theta duplication
 forms, the Arakelov beta term, and their combination
 alpha = 2(beta - mu) = -(1/12) log(|Delta(tau)| (2 Im tau)^6).
+The series sums the Jacobi thetas once, at 2z, and walks the orbit [2^n] P
+through the duplication quartics on the projective theta point (t1:t2:t3:t4);
+mu_arch_closed evaluates the telescoped limit from direct theta sums and is
+the independent cross-check.
 
 The duplication forms are normalized so that the constant in the telescoping
 limit vanishes and alpha matches the differential-height formula place by
@@ -89,6 +93,14 @@ def reduce_point_mod_lattice(z, tau, ctx: PrecisionContext = DEFAULT_CTX):
         return z
 
 
+def _abs2(x) -> mpf:
+    return x.real ** 2 + x.imag ** 2
+
+
+def _l2(v) -> mpf:
+    return mp.sqrt(mp.fsum(_abs2(x) for x in v))
+
+
 def _normalized_vector_norm(w, tau, ctx: PrecisionContext) -> mpf:
     """N(w) = e^{-pi Im(w)^2 / Im tau} * l2-norm of (t1..t4)(w, tau).
 
@@ -98,15 +110,88 @@ def _normalized_vector_norm(w, tau, ctx: PrecisionContext) -> mpf:
     t = as_siegel(tau, g=1, ctx=ctx).scalar()
     ths = jacobi_thetas(w, t, ctx)
     with ctx.workprec():
-        n2 = mp.sqrt(mp.fsum(abs(x) ** 2 for x in ths))
-        return mp.exp(-mp.pi * mpc(w).imag ** 2 / t.imag) * n2
+        return mp.exp(-mp.pi * mpc(w).imag ** 2 / t.imag) * _l2(ths)
 
 
-def _form_constant(tau, ctx: PrecisionContext, normalized: bool) -> mpf:
-    _, t2, t3, t4 = jacobi_thetas(0, tau, ctx)
-    with ctx.workprec():
-        c = abs(t2 * t3 * t4)
-        return c / 2 if normalized else c
+def _theta_nulls(tau, ctx: PrecisionContext) -> tuple:
+    """(t2, t3, t4)(0, tau); t1 vanishes at the origin."""
+    return jacobi_thetas(0, tau, ctx)[1:]
+
+
+def _form_constant(nulls, normalized: bool) -> mpf:
+    t2, t3, t4 = nulls
+    c = abs(t2 * t3 * t4)
+    return c / 2 if normalized else c
+
+
+def _duplicate(x, nulls) -> tuple:
+    """Theta coordinates at 2w from those at w, by the duplication quartics
+
+        t1(2w) t2 t3 t4 = 2 t1 t2 t3 t4(w),   t2(2w) t2^3 = t2^4 - t1^4,
+        t3(2w) t3^3 = t3^4 + t1^4,            t4(2w) t4^3 = t4^4 - t1^4,
+
+    with the nulls t_i = t_i(0) on the left.  The map is homogeneous of
+    degree 4: scaling x by s scales the result by s^4.
+    """
+    x1, x2, x3, x4 = x
+    n2, n3, n4 = nulls
+    p1 = x1 ** 4
+    return (2 * x1 * x2 * x3 * x4 / (n2 * n3 * n4), (x2 ** 4 - p1) / n2 ** 3,
+            (x3 ** 4 + p1) / n3 ** 3, (x4 ** 4 - p1) / n4 ** 3)
+
+
+def _onto_curve(x, squares) -> list:
+    """One least-norm Newton step from x onto the curve cut out by the Jacobi
+    quadrics
+
+        t4^2 t1(w)^2 + t3^2 t2(w)^2 - t2^2 t3(w)^2 = 0,
+        t2^2 t2(w)^2 - t3^2 t3(w)^2 + t4^2 t4(w)^2 = 0,
+
+    with squares = (t2^2, t3^2, t4^2) of the nulls.
+    """
+    a, b, c = squares
+    x1, x2, x3, x4 = x
+    r1 = c * x1 ** 2 + b * x2 ** 2 - a * x3 ** 2
+    r2 = a * x2 ** 2 - b * x3 ** 2 + c * x4 ** 2
+    # halved gradients; the step is -J^H (J J^H)^{-1} r / 2
+    j1 = (c * x1, b * x2, -a * x3, 0)
+    j2 = (0, a * x2, -b * x3, c * x4)
+    g11 = mp.fsum(_abs2(v) for v in j1)
+    g22 = mp.fsum(_abs2(v) for v in j2)
+    g12 = mp.fsum(u * mp.conj(v) for u, v in zip(j1, j2))
+    det = 2 * (g11 * g22 - _abs2(g12))
+    y1 = (g22 * r1 - g12 * r2) / det
+    y2 = (g11 * r2 - mp.conj(g12) * r1) / det
+    return [v - mp.conj(u1) * y1 - mp.conj(u2) * y2 for v, u1, u2 in zip(x, j1, j2)]
+
+
+def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext, normalized: bool) -> list:
+    """E at w, 2w, ..., 2^{n_terms-1} w from one theta evaluation at w.
+
+    E(w) = c ||T(2w)|| / ||T(w)||^4 is homogeneous of degree 4 over degree 4,
+    so it can be read off any scaling of the projective point T = (t1:t2:t3:t4):
+    the Gaussian factors e^{-pi Im(w)^2/Im tau} of the lattice-invariant norm
+    cancel, and the orbit needs neither lattice reduction nor a further theta
+    sum.  After every step the point is rescaled to unit norm and put back on
+    the curve (_onto_curve); the orbit runs with about log2 e^{pi Im(tau)/2}
+    extra bits (see mu_arch_terms).
+    """
+    tau = as_siegel(tau, g=1, ctx=ctx)
+    extra = int(math.pi * float(tau.scalar().imag) / (2 * math.log(2))) + 4
+    hi = ctx.higher(extra)
+    with hi.workprec():
+        nulls = _theta_nulls(tau, hi)
+        x = jacobi_thetas(reduce_point_mod_lattice(w, tau, hi), tau, hi)
+        squares = [v * v for v in nulls]
+        c = _form_constant(nulls, normalized)
+        out = []
+        for _ in range(n_terms):
+            nx = _l2(x)
+            y = _duplicate(x, nulls)
+            ny = _l2(y)
+            out.append(c * ny / nx ** 4)
+            x = _onto_curve([v / ny for v in y], squares)
+        return out
 
 
 def duplication_quotient(w, tau, ctx: PrecisionContext = DEFAULT_CTX,
@@ -116,15 +201,11 @@ def duplication_quotient(w, tau, ctx: PrecisionContext = DEFAULT_CTX,
     E(w) = c * N(2w) / N(w)^4 with c = |t2 t3 t4| for the classical forms
     (G_1 = 2 t1 t2 t3 t4, ...) and c = |t2 t3 t4| / 2 = |eta(tau)|^3 for the
     normalized forms used by the alpha decomposition.  Homogeneity of degree
-    4 over degree 4 makes E independent of the coordinate scaling.
+    4 over degree 4 makes E independent of the coordinate scaling, so the
+    theta coordinates at 2w come from those at w through the duplication
+    quartics.
     """
-    tau = as_siegel(tau, g=1, ctx=ctx)
-    with ctx.workprec():
-        c = _form_constant(tau, ctx, normalized)
-        wr = reduce_point_mod_lattice(w, tau, ctx)
-        num = _normalized_vector_norm(2 * wr, tau, ctx)
-        den = _normalized_vector_norm(wr, tau, ctx)
-        return c * num / den ** 4
+    return _duplication_orbit(w, tau, 1, ctx, normalized)[0]
 
 
 def prop_envelope(tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
@@ -152,18 +233,22 @@ def prop_envelope(tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
 
 def mu_arch_terms(z, tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX,
                   normalized: bool = True) -> list:
-    """The first n_terms values E([2^n] P), lattice-reduced at every step."""
-    tau = as_siegel(tau, g=1, ctx=ctx)
+    """The first n_terms values E([2^n] P), n = 0, 1, ..., with P at w = 2z.
+
+    The Jacobi thetas are evaluated once, at the lattice-reduced 2z; every
+    later point of the orbit comes from the previous one through the
+    duplication quartics (see _duplication_orbit).
+
+    Why rounding stays bounded: off the curve the quartic map expands faster
+    than the weights 4^{-n-1} of the mu-series shrink (50-100x a step at
+    Im tau = 2.7), so each step projects the point back onto the curve.  Along
+    the curve the map is the doubling: an error injected at step k grows like
+    2^{n-k} by step n, times the distortion of the theta embedding (up to
+    about e^{pi Im(tau)/2}), while term n is weighted by 4^{-n-1}.  The sum
+    therefore loses only that distortion, which the extra bits cover.
+    """
     with ctx.workprec():
-        c = _form_constant(tau, ctx, normalized)
-        w = reduce_point_mod_lattice(2 * mpc(z), tau, ctx)
-        out = []
-        for _ in range(n_terms):
-            num = _normalized_vector_norm(2 * w, tau, ctx)
-            den = _normalized_vector_norm(w, tau, ctx)
-            out.append(c * num / den ** 4)
-            w = reduce_point_mod_lattice(2 * w, tau, ctx)
-        return out
+        return _duplication_orbit(2 * mpc(z), tau, n_terms, ctx, normalized)
 
 
 def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
@@ -190,8 +275,9 @@ def mu_arch_closed(z, tau, ctx: PrecisionContext = DEFAULT_CTX,
     and N the lattice-invariant l2-norm of the four theta coordinates.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
+    nulls = _theta_nulls(tau, ctx)
     with ctx.workprec():
-        c = _form_constant(tau, ctx, normalized)
+        c = _form_constant(nulls, normalized)
         w = reduce_point_mod_lattice(2 * mpc(z), tau, ctx)
         return mp.log(c) / 3 - mp.log(_normalized_vector_norm(w, tau, ctx))
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, NumericError, PreconditionError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .theta_engine import SiegelMatrix, as_siegel, theta_nulls_halfint
 
@@ -85,10 +85,11 @@ def reduce_g1(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ReductionReport:
             t = t + 1
             a, b = a + c, b + d
         gamma = ((a, b), (c, d))
-        assert _sp_check(gamma)
+        if not _sp_check(gamma):
+            raise NumericError("recorded gamma is not in SL2(Z) (internal error)")
         t0 = tau_in.scalar()
         if abs((a * t0 + b) / (c * t0 + d) - t) > ctx.tol() * 16 * max(1, abs(t)):
-            raise AssertionError("recorded gamma does not reproduce the reduction")
+            raise NumericError("recorded gamma does not reproduce the reduction")
         reduced = SiegelMatrix.from_scalar(t, ctx)
         checks = tuple(check_reduced(reduced, 1, ctx))
         return ReductionReport(tau=tau_in, reduced=reduced, gamma=gamma, checks=checks)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 from .precision import DEFAULT_CTX, PrecisionContext
 
 # Below this least eigenvalue of Im(tau) the series is badly conditioned and
@@ -281,7 +281,8 @@ def jacobi_thetas(z, tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
     theta_3 = theta_{0,0},      theta_4 = theta_{0,1/2}.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
-    t1 = -theta_char(ThetaCharacteristic.make([_HALF], [_HALF]), z, tau, ctx)
+    with ctx.workprec():     # negation rounds to the current precision
+        t1 = -theta_char(ThetaCharacteristic.make([_HALF], [_HALF]), z, tau, ctx)
     t2 = theta_char(ThetaCharacteristic.make([_HALF], [0]), z, tau, ctx)
     t3 = theta_char(ThetaCharacteristic.make([0], [0]), z, tau, ctx)
     t4 = theta_char(ThetaCharacteristic.make([0], [_HALF]), z, tau, ctx)
@@ -347,6 +348,9 @@ def phi_product(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     """Product of the C(2g+1, g+1) eighth powers of theta nulls, g <= 3.
 
     For g = 1 this equals 2^8 Delta(tau); for g = 2 it equals J10(tau)^4.
+    A null at or below ctx.tol() in absolute value makes the product vanish
+    to working precision and raises DomainError (for g = 2 an even null
+    vanishes exactly on the reducible locus, products of elliptic curves).
     """
     from .weierstrass import char_system
 
@@ -356,7 +360,14 @@ def phi_product(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     with ctx.workprec():
         out = mpc(1)
         for m in chars:
-            out *= theta_char(m, zero, tau, ctx) ** 8
+            v = theta_char(m, zero, tau, ctx)
+            if abs(v) <= ctx.tol():
+                raise DomainError(
+                    f"theta null at characteristic a={[str(x) for x in m.a]}, "
+                    f"b={[str(x) for x in m.b]} vanishes to working precision "
+                    f"(|theta| = {mp.nstr(abs(v), 3)}); "
+                    + ("tau lies on the reducible locus" if tau.g == 2 else "phi(tau) = 0"))
+            out *= v ** 8
         return +out
 
 
@@ -367,7 +378,8 @@ def j10(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
         raise DomainError(f"J10 is defined for g=2, got g={tau.g}")
     nulls = theta_nulls_halfint(tau, ctx)
     even = [(m, v) for m, v in nulls.items() if m.parity() == 0]
-    assert len(even) == 10
+    if len(even) != 10:
+        raise NumericError(f"found {len(even)} even characteristics for g=2, not 10 (internal error)")
     with ctx.workprec():
         out = mpc(1)
         for _, v in even:

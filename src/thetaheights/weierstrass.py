@@ -15,7 +15,8 @@ from typing import Sequence
 
 import sympy
 
-from .errors import DomainError, MalformedChangeError, ResourceError, SingularModelError
+from .errors import (DomainError, MalformedChangeError, NumericError, ResourceError,
+                     SingularModelError)
 from .theta_engine import ThetaCharacteristic
 
 _X = sympy.Symbol("x")
@@ -157,7 +158,7 @@ def apply_model_change(E: WeierstrassEquation, c: ModelChange) -> WeierstrassEqu
         raise MalformedChangeError("transformed P is not monic of the right degree")
     E2 = WeierstrassEquation.make(g, Pp, Qp)
     if discriminant(E) != c.u ** (4 * g * (2 * g + 1)) * discriminant(E2):
-        raise AssertionError("discriminant transformation law violated (internal error)")
+        raise NumericError("discriminant transformation law violated (internal error)")
     return E2
 
 
@@ -216,7 +217,8 @@ def char_system(g: int) -> list:
         else:
             m = ThetaCharacteristic.make([Fraction(0)] * g, [Fraction(0)] * g)
         out.append(m)
-    assert len(out) == math.comb(2 * g + 1, g + 1)
+    if len(out) != math.comb(2 * g + 1, g + 1):
+        raise NumericError("characteristic system has the wrong size (internal error)")
     return out
 
 

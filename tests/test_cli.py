@@ -141,6 +141,16 @@ def test_exit_code_parse_error():
     assert run(["theta", "eval", "--a", "0", "--b", "0", "--tau", "bogus"]) == 2
 
 
+def test_point_with_zero_denominator_is_parse_error():
+    assert run(["elliptic", "height", "--curve", E37_CURVE, "--point", "1/0,1"]) == 2
+    assert run(["theta", "eval", "--a", "1/0", "--b", "0", "--tau", "[0,1]"]) == 2
+
+
+def test_jacobian_faltings_refuses_reducible_tau():
+    tau = "[[[0,1],[0,0]],[[0,0],[0,1]]]"
+    assert run(["jacobian", "faltings", "--genus", "2", "--tau", tau]) == 3
+
+
 def test_exit_code_domain_error():
     singular = '{"genus":1,"P":["0","0","0","1"]}'
     assert run(["curve", "disc", "--curve", singular]) == 3

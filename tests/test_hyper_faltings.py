@@ -18,6 +18,7 @@ from thetaheights.hyper_faltings import (
     lockhart_invariant,
     quintic_cm_period_matrix,
 )
+from thetaheights.precision import PrecisionContext
 from thetaheights.siegel import check_reduced, random_reduced_tau
 from thetaheights.theta_engine import j10, modular_discriminant, phi_product
 from thetaheights.weierstrass import WeierstrassEquation
@@ -130,7 +131,8 @@ def test_faltings_jacobian_g1_reduces_to_silverman(ctx):
 
 
 def test_faltings_jacobian_g2_pure_archimedean_dual_path(ctx):
-    tau = [[mpc(0, 1), 0], [0, mpc(0, "1.1")]]
+    # off-diagonal: a diagonal tau is a product of elliptic curves and is refused
+    tau = [[mpc(0, 1), mpc(0, "0.25")], [mpc(0, "0.25"), mpc(0, "1.1")]]
     h, bd = faltings_jacobian(2, [], [tau], ctx)
     assert len(bd.entries) == 1
     assert mp.isfinite(h)  # the phi- and J10-routes agree internally
@@ -184,3 +186,28 @@ def test_quintic_pipeline_gap_attributed_to_e5(ctx):
     assert cv.gap_is_finite_term
     assert abs(abs(cv.gap) - mp.log(5) / 2) < mpf(10) ** -9
     assert "e_5" in cv.report
+
+
+def test_quintic_cm_representative_stable_across_precisions():
+    # Re tau_12 = -1/2 exactly; the representative must not flip with bits
+    ref = quintic_cm_period_matrix(PrecisionContext(bits=256))
+    for bits in (128, 160, 192, 224, 256):
+        ctx = PrecisionContext(bits=bits)
+        tau = quintic_cm_period_matrix(ctx)
+        for i in range(2):
+            for j in range(2):
+                assert abs(tau[i, j] - ref[i, j]) < ctx.tol()
+        assert abs(tau[0, 1].real + mpf(1) / 2) < ctx.tol()
+        h, _ = faltings_jacobian(2, [], [tau], ctx)
+        assert abs(h - bomemo_closed_form(ctx)) < mpf(10) ** -40
+
+
+def test_vanishing_even_null_is_refused(ctx):
+    # a diagonal tau (E_i x E_i, E_i x E_1.1i) lies on the reducible locus:
+    # theta[1/2 1/2; 1/2 1/2](0) = theta_1(0, tau_11) theta_1(0, tau_22) = 0
+    for t22 in (mpc(0, 1), mpc(0, "1.1")):
+        tau = [[mpc(0, 1), 0], [0, t22]]
+        with pytest.raises(DomainError, match="reducible"):
+            phi_product(tau, ctx)
+        with pytest.raises(DomainError, match="reducible"):
+            faltings_jacobian(2, [], [tau], ctx)

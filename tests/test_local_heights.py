@@ -11,6 +11,8 @@ from mpmath import mp, mpc, mpf
 from thetaheights.elliptic import point_add, point_neg
 from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
+    _duplicate,
+    _onto_curve,
     alpha_arch,
     alpha_finite,
     autissier_integral,
@@ -26,6 +28,7 @@ from thetaheights.local_heights import (
 )
 from thetaheights.siegel import random_reduced_tau
 from thetaheights.theta_engine import jacobi_thetas, modular_discriminant
+from thetaheights.precision import PrecisionContext
 from thetaheights.weierstrass import WeierstrassEquation
 
 E_37A = WeierstrassEquation.make(1, [0, -1, 0, 1], [1])
@@ -44,6 +47,84 @@ def test_mu_series_matches_closed_form(ctx):
         s = mu_arch_series(z, tau, n, ctx)
         c = mu_arch_closed(z, tau, ctx)
         assert abs(s - c) <= mu_tail_bound(tau, n, ctx)
+
+
+def test_duplication_quartics_match_direct_thetas(ctx):
+    # each quartic against the Jacobi thetas summed directly at 2w
+    rng = random.Random(11)
+    for _ in range(8):
+        tau = random_reduced_tau(1, rng, ctx)
+        t = tau.scalar()
+        w = reduce_point_mod_lattice(mpc(rng.random(), 0) + rng.random() * t, tau, ctx)
+        nulls = jacobi_thetas(0, tau, ctx)[1:]
+        stepped = _duplicate(jacobi_thetas(w, tau, ctx), nulls)
+        direct = jacobi_thetas(2 * w, tau, ctx)
+        for a, b in zip(stepped, direct):
+            assert abs(a - b) <= mpf(2) ** -(ctx.bits - 8) * max(1, abs(b))
+
+
+def _jacobi_quadrics(x, nulls):
+    (x1, x2, x3, x4), (n2, n3, n4) = x, nulls
+    return (n4 ** 2 * x1 ** 2 + n3 ** 2 * x2 ** 2 - n2 ** 2 * x3 ** 2,
+            n2 ** 2 * x2 ** 2 - n3 ** 2 * x3 ** 2 + n4 ** 2 * x4 ** 2)
+
+
+def test_jacobi_quadrics_cut_out_the_theta_curve(ctx):
+    # the two quadrics vanish on the direct thetas; one Newton step brings a
+    # point knocked off the curve back onto it, near where it started
+    rng = random.Random(12)
+    tol = mpf(2) ** -(ctx.bits - 8)
+    for _ in range(8):
+        tau = random_reduced_tau(1, rng, ctx)
+        t = tau.scalar()
+        w = reduce_point_mod_lattice(mpc(rng.random(), 0) + rng.random() * t, tau, ctx)
+        nulls = jacobi_thetas(0, tau, ctx)[1:]
+        x = jacobi_thetas(w, tau, ctx)
+        scale = max(abs(v) for v in x) ** 2
+        assert all(abs(r) <= tol * scale for r in _jacobi_quadrics(x, nulls))
+        bumped = [v + mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpf(10) ** -25 for v in x]
+        back = _onto_curve(bumped, [n * n for n in nulls])
+        assert all(abs(r) <= tol * scale for r in _jacobi_quadrics(back, nulls))
+        assert max(abs(a - b) for a, b in zip(back, x)) < mpf(10) ** -24
+
+
+def _mu_cases(rng, ctx, count):
+    cases = []
+    for _ in range(count):
+        tau = random_reduced_tau(1, rng, ctx)
+        t = tau.scalar()
+        cases.append((rng.random() + rng.random() * t, tau))
+    tau = random_reduced_tau(1, rng, ctx)
+    t = tau.scalar()
+    # the 2-torsion points: 2z is a lattice point, so t1 = 0 on the orbit
+    cases += [(z, tau) for z in (mpc(0), mpc("0.5"), t / 2, (1 + t) / 2)]
+    # high in the fundamental domain, where the quartics are least stable
+    cases.append((mpc("0.37", "2.1"), mpc("0.3", "6")))
+    return cases
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_mu_series_matches_closed_form_across_precisions(bits):
+    ctx = PrecisionContext(bits=bits)
+    n = (bits + 24) // 2
+    for z, tau in _mu_cases(random.Random(bits), ctx, 10):
+        s = mu_arch_series(z, tau, n, ctx)
+        c = mu_arch_closed(z, tau, ctx)
+        assert abs(s - c) <= ctx.tol() + mu_tail_bound(tau, n, ctx)
+
+
+def test_mu_terms_constant_on_two_torsion(ctx):
+    # (0 : t2 : t3 : t4) is a fixed point of the duplication quartics
+    tau = mpc("0.15", "1.1")
+    for z in (0, mpc("0.5"), tau / 2, (1 + tau) / 2):
+        terms = mu_arch_terms(z, tau, 20, ctx)
+        assert all(abs(E - terms[0]) <= ctx.tol() * terms[0] for E in terms)
+
+
+def test_mu_series_refuses_small_imag_tau(ctx):
+    # theta sums below the Im tau = 0.1 conditioning floor are refused
+    with pytest.raises(DomainError):
+        mu_arch_series(mpc("0.2", "0.01"), mpc("0.3", "0.05"), 20, ctx)
 
 
 def test_mu_homogeneity_degree_four_over_four(ctx):

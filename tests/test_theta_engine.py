@@ -99,6 +99,16 @@ def test_jacobi_dictionary_matches_classical_series(ctx):
         assert abs(a - b) < mpf(10) ** -30
 
 
+def test_jacobi_thetas_keep_working_precision_at_low_global_precision(ctx):
+    # the result must not depend on the caller's mpmath precision (z and tau
+    # are exact at 53 bits, so only the library's own rounding is tested)
+    z, tau = mpc(0.375, 0.25), mpc(0.125, 1.25)
+    with mp.workprec(53):
+        ours = jacobi_thetas(z, tau, ctx)
+    for a, b in zip(ours, classical_jacobi_series(z, tau)):
+        assert abs(a - b) < mpf(10) ** -30
+
+
 def test_theta1_vanishes_at_origin(ctx):
     for tau in (mpc(0, 1), mpc("0.25", "1.1")):
         t1, _, _, _ = jacobi_thetas(0, tau, ctx)
