@@ -59,8 +59,10 @@ def _max_delta(a, b):
     return mpf(0)
 
 
-def _parse_complex(text: str):
-    """A complex number as JSON: number, "re", or [re, im] with string parts."""
+def _parse_complex(text: str, ctx: PrecisionContext):
+    """A complex number as JSON: number, "re", or [re, im] with string parts.
+
+    Decimal and rational strings are rounded at the working precision."""
     try:
         val = json.loads(text)
     except json.JSONDecodeError:
@@ -74,11 +76,12 @@ def _parse_complex(text: str):
             except Exception:
                 raise _ParseFailure(f"bad numeric literal {v!r}")
         raise _ParseFailure(f"bad numeric literal {v!r}")
-    if isinstance(val, list):
-        if len(val) != 2:
-            raise _ParseFailure("complex literal must be [re, im]")
-        return mpc(one(val[0]), one(val[1]))
-    return mpc(one(val))
+    with ctx.workprec():
+        if isinstance(val, list):
+            if len(val) != 2:
+                raise _ParseFailure("complex literal must be [re, im]")
+            return mpc(one(val[0]), one(val[1]))
+        return mpc(one(val))
 
 
 def _parse_tau(text: str, ctx: PrecisionContext):
@@ -89,9 +92,11 @@ def _parse_tau(text: str, ctx: PrecisionContext):
         raise _ParseFailure(f"tau is not valid JSON: {text!r}")
     if isinstance(val, list) and val and isinstance(val[0], list) \
             and val[0] and isinstance(val[0][0], list):
-        rows = [[_parse_complex(json.dumps(x)) for x in row] for row in val]
+        if not all(isinstance(row, list) for row in val):
+            raise _ParseFailure("tau matrix rows must be lists of [re, im] pairs")
+        rows = [[_parse_complex(json.dumps(x), ctx) for x in row] for row in val]
         return theta_engine.as_siegel(rows, ctx=ctx)
-    return theta_engine.as_siegel(_parse_complex(text), ctx=ctx)
+    return theta_engine.as_siegel(_parse_complex(text, ctx), ctx=ctx)
 
 
 def _load_curve(text: str):
@@ -146,9 +151,9 @@ def _cmd_theta_eval(args, ctx):
         except json.JSONDecodeError:
             raise _ParseFailure(f"z is not valid JSON: {args.z!r}")
         if isinstance(zl, list) and zl and isinstance(zl[0], list):
-            z = [_parse_complex(json.dumps(v)) for v in zl]
+            z = [_parse_complex(json.dumps(v), ctx) for v in zl]
         elif tau.g == 1:
-            z = _parse_complex(args.z)
+            z = _parse_complex(args.z, ctx)
         else:
             raise _ParseFailure("for g > 1 pass --z as a list of [re, im] pairs")
     val = theta_engine.theta_char(m, z, tau, ctx)
@@ -248,16 +253,23 @@ def _cmd_elliptic_decompose(args, ctx):
     return doc, table
 
 
+def _parse_finite(text: str):
+    """--finite as a JSON list of {"p", "ord_delta_min", "e"} objects."""
+    try:
+        items = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise _ParseFailure(f"--finite is not valid JSON: {e}")
+    try:
+        return [hyper_faltings.FinitePlaceInput(
+            p=int(it["p"]), ord_delta_min=int(it["ord_delta_min"]), e=int(it.get("e", 0)))
+            for it in items]
+    except (TypeError, KeyError, ValueError, AttributeError):
+        raise _ParseFailure('--finite must be a list of {"p", "ord_delta_min", "e"} '
+                            f"objects with integer values: {text!r}")
+
+
 def _cmd_jacobian_faltings(args, ctx):
-    finite = []
-    if args.finite:
-        try:
-            items = json.loads(args.finite)
-        except json.JSONDecodeError as e:
-            raise _ParseFailure(f"--finite is not valid JSON: {e}")
-        for it in items:
-            finite.append(hyper_faltings.FinitePlaceInput(
-                p=int(it["p"]), ord_delta_min=int(it["ord_delta_min"]), e=int(it.get("e", 0))))
+    finite = _parse_finite(args.finite) if args.finite else []
     if args.cm_quintic:
         taus = [hyper_faltings.quintic_cm_period_matrix(ctx)]
         g = 2
@@ -455,10 +467,12 @@ def run(argv) -> int:
     try:
         doc, table = handler(args, ctx)
         if args.verify:
-            doc2, _ = handler(args, ctx.higher(64))
-            delta = _max_delta(doc, doc2)
-            doc["verify"] = {"recomputed_bits": ctx.higher(64).bits, "max_delta": delta}
-            table.append(f"verify: recomputed at {ctx.higher(64).bits} bits, "
+            hi = ctx.higher(64)
+            doc2, _ = handler(args, hi)
+            with hi.workprec():
+                delta = _max_delta(doc, doc2)
+            doc["verify"] = {"recomputed_bits": hi.bits, "max_delta": delta}
+            table.append(f"verify: recomputed at {hi.bits} bits, "
                          f"max delta {mp.nstr(delta, 3)}")
     except _ParseFailure as e:
         print(f"parse error: {e}", file=sys.stderr)
@@ -469,12 +483,10 @@ def run(argv) -> int:
     except (DomainError, ThetaHeightsError) as e:
         print(f"domain error: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
 
     doc_out = {"command": f"{args.group} {args.cmd}", "precision_bits": ctx.bits}
-    doc_out.update(_fmt(doc))
+    with ctx.workprec():     # mpf(x) in _fmt must not round to 53 bits
+        doc_out.update(_fmt(doc))
     if "warnings" not in doc_out:
         doc_out["warnings"] = []
     text = json.dumps(doc_out, sort_keys=True, separators=(",", ":")) + "\n"

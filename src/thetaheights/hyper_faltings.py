@@ -1,9 +1,10 @@
 """Faltings heights of hyperelliptic Jacobians.
 
-Archimedean data through the theta-null product phi (and J10 for g = 2),
-finite data through caller-supplied (ord_v(Delta_min), e_v) pairs with
-f_v = (g ord_v - (8g+4) e_v) / (8g+4) >= 0.  All genus-dependent exponents
-are exact rationals applied to high-precision logarithms.
+Archimedean data through the theta-null product phi (for g = 2 the same
+even nulls as J10, phi = J10^4), finite data through caller-supplied
+(ord_v(Delta_min), e_v) pairs with f_v = (g ord_v - (8g+4) e_v) / (8g+4) >= 0.
+All genus-dependent exponents are exact rationals applied to high-precision
+logarithms.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 import sympy
 from mpmath import mp, mpf
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 from .precision import DEFAULT_CTX, PrecisionContext
-from .theta_engine import SiegelMatrix, as_siegel, j10, phi_product
+from .theta_engine import SiegelMatrix, as_siegel, phi_product
 from .weierstrass import WeierstrassEquation, discriminant
 
 
@@ -84,9 +85,11 @@ def faltings_jacobian(g: int, finite_inputs, tau_list,
     h = (1/d) [ sum_v f_v log p_v
                 - sum_arch log( 2^{-2g/(8g+4)} |phi(tau_v)|^{1/4l} det(Im tau_v)^{1/2} ) ]
 
-    with d = number of archimedean places (local degrees 1).  For g = 2 the
-    archimedean factor is evaluated both through phi and through
-    2^{-1/5} |J10|^{1/10} det^{1/2}; the two routes must agree.
+    with d = number of archimedean places (local degrees 1).  The archimedean
+    factor comes from one table of theta nulls per tau (phi_product).  For
+    g = 2 it equals 2^{-1/5} |J10|^{1/10} det^{1/2}, because phi and J10 are
+    products over the same 10 even nulls (char_system(2) is the even set, an
+    exact unit test), so J10 is not evaluated a second time here.
 
     Returns (h, HeightBreakdown).
     """
@@ -111,13 +114,6 @@ def faltings_jacobian(g: int, finite_inputs, tau_list,
             entries.append((Place.finite(fp.p), {"f_log_p": contrib}))
         for tau in taus:
             arch = -_log_arch_factor(g, tau, ctx)
-            if g == 2:
-                # independent route through J10
-                j = j10(tau, ctx)
-                arch_j = -(mpf(-1) / 5 * mp.log(2) + mp.log(abs(j)) / 10
-                           + mp.log(tau.det_imag()) / 2)
-                if abs(arch - arch_j) > ctx.tol() * max(1, abs(arch)):
-                    raise NumericError("phi-route and J10-route disagree (internal error)")
             entries.append((Place.archimedean(), {"arch": arch / d}))
         breakdown = HeightBreakdown.assemble(entries, warnings=tuple(warnings))
         return breakdown.total, breakdown

@@ -197,8 +197,10 @@ class ThetaNullBoundsReport:
 def theta_null_bounds(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ThetaNullBoundsReport:
     """Appendix inequalities on the 4^g half-integral theta nulls at z = 0.
 
-    'Nonzero' means the even characteristics; odd nulls vanish identically.
-    Requires an (approximately) reduced tau.
+    'Nonzero' means the even characteristics whose null exceeds ctx.tol(),
+    the threshold phi_product refuses at: odd nulls vanish identically, and
+    on the reducible locus (g = 2) an even null does too, so its computed
+    value is rounding noise.  Requires an (approximately) reduced tau.
     """
     tau = as_siegel(tau, ctx=ctx)
     if not all_checks_pass(check_reduced(tau, ctx=ctx)):
@@ -206,9 +208,9 @@ def theta_null_bounds(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ThetaNullBoun
     g = tau.g
     nulls = theta_nulls_halfint(tau, ctx)
     with ctx.workprec():
-        evens = [abs(v) for m, v in nulls.items() if m.parity() == 0]
+        tol = ctx.tol()
         mx = max(abs(v) for v in nulls.values())
-        mn = min(evens)
+        mn = min(abs(v) for m, v in nulls.items() if m.parity() == 0 and abs(v) > tol)
         ynorm = tau.trace_imag()
         upper = mpf(4 * g) ** (2 * g * g) * mp.exp(-mp.pi / 8 * ynorm)
         return ThetaNullBoundsReport(
@@ -217,8 +219,8 @@ def theta_null_bounds(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ThetaNullBoun
             max_lower_bound=mpf(1),
             min_upper_bound=upper,
             y_norm=ynorm,
-            max_ok=bool(mx >= 1 - ctx.tol()),
-            min_ok=bool(mn <= upper * (1 + ctx.tol())),
+            max_ok=bool(mx >= 1 - tol),
+            min_ok=bool(mn <= upper * (1 + tol)),
             null_ratio_height=mp.log(mx / mn),
         )
 

@@ -10,6 +10,32 @@ below 2^-(bits+guard).  The Jacobi thetas use the nome q = e^{i pi tau}
 (Whittaker-Watson), the modular discriminant uses q = e^{2 i pi tau}; the
 two are tied together by the identity phi(tau) = 2^8 Delta(tau) exercised
 in the test suite.
+
+One lattice walker (_walk) evaluates every box sum.  Along the last axis
+the exponent is quadratic in the step index, so each term is the previous
+one times a ratio, and the ratio changes by the constant factor
+e^{2 pi i h^2 tau_gg} (h the step): two multiplications per lattice point
+and two exponentials per row, following the lattice-sum treatment of
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, Computing Riemann theta
+functions, Math. Comp. 73 (2004).  The walk runs in fixed point (Python
+integers in units of 2^-prec) from the largest term of each row outwards,
+so every ratio has modulus at most 1, sums are exact and the terms that
+round to 0 end the row: the box is cut down to the ellipsoid that matters.
+theta_char walks n + a with h = 1 into a single bin.  _halfint_table walks
+u = k/2 once with h = 1/2 and bins the terms by k mod 4: k mod 2 fixes a in
+{0, 1/2}^g and the b phase is i^{k.2b}, so one pass yields all 4^g
+half-integral values at (z, tau); jacobi_thetas, theta_nulls_halfint,
+phi_product and j10 read that table.
+
+Guard bits.  The box radius is certified at the worst characteristic of the
+sum (||a|| = sqrt(g)/2 for the table).  The walk runs at bits + guard plus
+extra = pi |Im z|^2 / lambda_min / log 2 + 8 bits for the size M of the
+largest term (M + 1 <= 2^(extra-6)), plus (g + 2) ceil(log2 length) + 2 bits
+for the recurrence: it errs by less than 6 (M + 1) length^(g+2) units
+(derived at _walk), so its rounding stays below 2^-(bits+guard+4).  Results are rounded to
+bits + guard + extra, which keeps that absolute error for values above 1.
+tau and z are rounded to bits + guard on the way in, and the bound holds
+for the rounded inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +48,9 @@ from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_fixed
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import DomainError, ResourceError
 from .precision import DEFAULT_CTX, PrecisionContext
 
 # Below this least eigenvalue of Im(tau) the series is badly conditioned and
@@ -156,14 +183,17 @@ def _zero_char(g: int) -> ThetaCharacteristic:
 
 
 def _z_vector(z, g: int, ctx: PrecisionContext):
-    if isinstance(z, (list, tuple)):
-        if len(z) != g:
-            raise DomainError(f"z must have length g={g}")
-        vec = [_to_mpc(x) for x in z]
-    else:
-        if g != 1:
-            raise DomainError(f"scalar z given for g={g}")
-        vec = [_to_mpc(z)]
+    # coerce at the working precision: z may carry more bits than the
+    # caller's global mpmath precision
+    with ctx.workprec():
+        if isinstance(z, (list, tuple)):
+            if len(z) != g:
+                raise DomainError(f"z must have length g={g}")
+            vec = [_to_mpc(x) for x in z]
+        else:
+            if g != 1:
+                raise DomainError(f"scalar z given for g={g}")
+            vec = [_to_mpc(z)]
     for x in vec:
         if not (mp.isfinite(x.real) and mp.isfinite(x.imag)):
             raise DomainError("z must be finite")
@@ -218,47 +248,132 @@ def _truncation_radius(g: int, lam: float, t: float, a_norm: float,
     raise ResourceError("could not certify a theta truncation radius")
 
 
-def _theta_sum(m: ThetaCharacteristic, zvec, tau: SiegelMatrix, ctx: PrecisionContext,
-               radius_margin: int = 0) -> mpc:
-    g = tau.g
+def _box(zvec, tau: SiegelMatrix, a_norm: float, ctx: PrecisionContext,
+         radius_margin: int = 0) -> tuple:
+    """(N, extra): certified radius of the box ||n||_inf <= N for characteristics
+    with ||a|| <= a_norm, and the bits spent on the size of the largest term."""
     lam = tau.min_imag_eigenvalue()
     if lam < MIN_IMAG_EIGENVALUE:
         raise DomainError(
             f"Im(tau) has least eigenvalue {lam:.3g} < {MIN_IMAG_EIGENVALUE}; "
             "Siegel-reduce tau before evaluating theta series")
     t = math.sqrt(sum(float(z.imag) ** 2 for z in zvec))
-    a_norm = math.sqrt(sum(float(x) ** 2 for x in m.a))
     target_log = -(ctx.bits + ctx.guard) * math.log(2)
-    N = _truncation_radius(g, lam, t, a_norm, target_log, ctx) + radius_margin
+    N = _truncation_radius(tau.g, lam, t, a_norm, target_log, ctx) + radius_margin
     # the largest term can exceed 1; spend extra bits so the *absolute* error
     # of the working-precision summation still meets the target
     extra = max(0, int(math.pi * t * t / lam / math.log(2)) + 8)
     if extra > 8 * ctx.bits + 64:
         raise ResourceError("z too far from the real torus for the precision budget")
-    with ctx.workprec(extra):
-        a = [mpf(x.numerator) / x.denominator for x in m.a]
-        b = [mpf(x.numerator) / x.denominator for x in m.b]
-        zb = [zvec[i] + b[i] for i in range(g)]
-        total = mpc(0)
-        if g == 1:
-            t11 = tau.entries[0][0]
-            a0, zb0 = a[0], zb[0]
-            for n in range(-N, N + 1):
-                u = n + a0
-                total += mp.expjpi(u * u * t11 + 2 * u * zb0)
-        else:
-            tau_rows = tau.entries
-            for n in itertools.product(range(-N, N + 1), repeat=g):
-                u = [n[i] + a[i] for i in range(g)]
-                quad = mp.fsum(u[i] * tau_rows[i][j] * u[j] for i in range(g) for j in range(g))
-                lin = mp.fsum(2 * u[i] * zb[i] for i in range(g))
-                total += mp.expjpi(quad + lin)
-        return +total
+    return N, extra
+
+
+def _chain_bits(g: int, length: int) -> int:
+    """Bits covering the rounding of _walk: it errs by less than
+    6 (M + 1) length^(g+2) units, M the largest term (see _walk)."""
+    return (g + 2) * math.ceil(math.log2(length)) + 2
+
+
+def _fixed(x: mpc, prec: int) -> tuple:
+    return to_fixed(x.real._mpf_, prec), to_fixed(x.imag._mpf_, prec)
+
+
+def _fmul(x: tuple, y: tuple, prec: int) -> tuple:
+    """Product of two fixed-point complex numbers, rounded to the nearest unit."""
+    half = 1 << (prec - 1)
+    return ((x[0] * y[0] - x[1] * y[1] + half) >> prec,
+            (x[0] * y[1] + x[1] * y[0] + half) >> prec)
+
+
+def _walk(zvec, tau: SiegelMatrix, starts, step, length: int, nbins: int, prec: int) -> list:
+    """Sum e^{pi i (u^T tau u + 2 u^T z)} over u_i = starts[i] + step j_i, 0 <= j_i < length.
+
+    Returns nbins^g partial sums as (re, im) integers in units of 2^-prec:
+    bin sum_i (j_i mod nbins) nbins^(g-1-i) holds the terms with those
+    residues of j.  Along the last axis the exponent E is quadratic in j, so
+    each term is the previous one times a ratio, and the ratio changes by the
+    constant factor q = e^{2 pi i step^2 tau_gg}: two multiplications per
+    point, one exponential for the row's term and one for its ratio.
+
+    Each row starts at its largest term and walks outwards both ways, so
+    every ratio has modulus at most 1; a direction ends where its term
+    rounds to 0, and a row whose largest term is below one unit / length is
+    skipped.  Error, in units, with M the largest term in units of 1: the
+    row's exponentials are formed with the bits of their largest argument
+    (and the term with the bits of its size) on top, so a ratio enters
+    within 3 units and the term within M + 2.  Sums of integers are exact
+    and a product errs by at most half a unit, so the ratio after i steps is
+    off by at most 3 (i + 1) and the term after j steps by 2 (M + 1)(j + 1)^2;
+    a term computed as 0 bounds each term the direction leaves out.  A row
+    thus errs by less than 6 (M + 1) length^3 and the walk by less than
+    6 (M + 1) length^(g+2).
+    """
+    g = tau.g
+    T = tau.entries
+    h = mpf(step)
+    tgg = T[g - 1][g - 1]
+    # the cross terms u_i tau_ig u_g count both triangles, as the quadratic form does
+    tcol = [(T[i][g - 1] + T[g - 1][i]) / 2 for i in range(g - 1)]
+    us = [[mpf(s) + h * j for j in range(length)] for s in starts]
+    umax = max(abs(float(u[0])) for u in us) + float(h) * length
+    arg = math.pi * umax * (umax * sum(abs(complex(x)) for row in T for x in row)
+                            + 2 * sum(abs(complex(x)) for x in zvec))
+    row_prec = prec + math.ceil(math.log2(arg + 2))
+    with mp.workprec(row_prec):
+        q = mp.expjpi(2 * h * h * tgg)
+    qr, qi = _fixed(q, prec)
+    half = 1 << (prec - 1)
+    bins_re = [0] * nbins ** g
+    bins_im = [0] * nbins ** g
+    for prefix in itertools.product(range(length), repeat=g - 1):
+        with mp.workprec(row_prec):
+            u = [us[i][j] for i, j in enumerate(prefix)]
+            lin = mp.fsum(tcol[i] * u[i] for i in range(g - 1)) + zvec[g - 1]
+            const = (mp.fsum(u[i] * T[i][j] * u[j] for i in range(g - 1) for j in range(g - 1))
+                     + 2 * mp.fsum(u[i] * zvec[i] for i in range(g - 1)))
+            # |e^{pi i E(v)}| peaks at v* = -Im(lin) / Im(tau_gg); start at the nearest point
+            jp = int(mp.nint((-lin.imag / tgg.imag - us[g - 1][0]) / h))
+            jp = min(max(jp, 0), length - 1)
+            v = us[g - 1][jp]
+            E = const + v * (tgg * v + 2 * lin)
+            top = -math.pi * float(E.imag) / math.log(2)     # log2 of the largest term
+            if top + math.log2(length) < -prec:
+                continue
+            fwd = mp.expjpi(h * (tgg * (2 * v + h) + 2 * lin))    # e^{pi i (E(v+h) - E(v))}
+            bwd = q / fwd                                         # e^{pi i (E(v-h) - E(v))}
+            with mp.workprec(row_prec + max(0, math.ceil(top))):
+                term = mp.expjpi(E)
+        term, fwd, bwd = _fixed(term, prec), _fixed(fwd, prec), _fixed(bwd, prec)
+        acc_re = [0] * nbins
+        acc_im = [0] * nbins
+        for j, dj, (xr, xi), (rr, ri) in ((jp, 1, term, fwd),
+                                          (jp - 1, -1, _fmul(term, bwd, prec),
+                                           _fmul(bwd, (qr, qi), prec))):
+            while 0 <= j < length and (xr or xi):
+                k = j % nbins
+                acc_re[k] += xr
+                acc_im[k] += xi
+                xr, xi = (xr * rr - xi * ri + half) >> prec, (xr * ri + xi * rr + half) >> prec
+                rr, ri = (rr * qr - ri * qi + half) >> prec, (rr * qi + ri * qr + half) >> prec
+                j += dj
+        base = 0
+        for j in prefix:
+            base = base * nbins + j % nbins
+        base *= nbins
+        for r in range(nbins):
+            bins_re[base + r] += acc_re[r]
+            bins_im[base + r] += acc_im[r]
+    return list(zip(bins_re, bins_im))
+
+
+def _from_fixed(re: int, im: int, prec: int) -> mpc:
+    """re + i im in units of 2^-prec, rounded once to the current precision."""
+    return mpc(mp.ldexp(re, -prec), mp.ldexp(im, -prec))
 
 
 def theta_char(m: ThetaCharacteristic, z, tau, ctx: PrecisionContext = DEFAULT_CTX,
                radius_margin: int = 0) -> mpc:
-    """theta_{a,b}(z, tau) with absolute error below 2^-bits.
+    """theta_{a,b}(z, tau) with absolute error below 2^-bits, for rational a, b.
 
     radius_margin widens the certified truncation box; it exists so the
     soundness of the tail bound can be exercised from the outside.
@@ -267,10 +382,53 @@ def theta_char(m: ThetaCharacteristic, z, tau, ctx: PrecisionContext = DEFAULT_C
     if m.g != tau.g:
         raise DomainError(f"characteristic has g={m.g}, tau has g={tau.g}")
     zvec = _z_vector(z, tau.g, ctx)
-    return _theta_sum(m, zvec, tau, ctx, radius_margin=radius_margin)
+    a_norm = math.sqrt(sum(float(x) ** 2 for x in m.a))
+    N, extra = _box(zvec, tau, a_norm, ctx, radius_margin)
+    length = 2 * N + 1
+    prec = ctx.working_bits + extra + _chain_bits(tau.g, length)
+    with mp.workprec(prec):
+        # u = n + a over ||n||_inf <= N; the b phase folds into z
+        starts = [mpf(x.numerator) / x.denominator - N for x in m.a]
+        zb = [zvec[i] + mpf(x.numerator) / x.denominator for i, x in enumerate(m.b)]
+        (re, im), = _walk(zb, tau, starts, 1, length, 1, prec)
+    with ctx.workprec(extra):    # keeps the absolute error of values above 1
+        return _from_fixed(re, im, prec)
 
 
 _HALF = Fraction(1, 2)
+
+
+def _halfint_table(zvec, tau: SiegelMatrix, ctx: PrecisionContext) -> dict:
+    """theta_{a,b}(z, tau) for all 4^g characteristics a, b in {0, 1/2}^g, from one walk.
+
+    The walk runs over u = k/2 with ||k||_inf <= K = 2N + 1, which holds n + a
+    for ||n||_inf <= N and every a, and bins the terms by k mod 4.  k mod 2
+    fixes a = (k mod 2)/2, and the b phase e^{2 pi i u.b} is i^{k.2b}.
+    """
+    g = tau.g
+    N, extra = _box(zvec, tau, math.sqrt(g) / 2, ctx)
+    K = 2 * N + 1
+    length = 2 * K + 1
+    prec = ctx.working_bits + extra + _chain_bits(g, length)
+    with mp.workprec(prec):
+        bins = _walk(zvec, tau, [mpf(-K) / 2] * g, mpf(1) / 2, length, 4, prec)
+    residues = [tuple((c - K) % 4 for c in cs)          # k mod 4 of each bin
+                for cs in itertools.product(range(4), repeat=g)]
+    out = {}
+    for a2 in itertools.product((0, 1), repeat=g):
+        members = [(s, k) for s, k in zip(bins, residues)
+                   if all(ki % 2 == ai for ki, ai in zip(k, a2))]
+        for b2 in itertools.product((0, 1), repeat=g):
+            re = im = 0
+            for (sr, si), k in members:
+                # add i^e (sr + i si), exactly
+                e = sum(ki * bi for ki, bi in zip(k, b2)) % 4
+                re, im = ((re + sr, im + si), (re - si, im + sr),
+                          (re - sr, im - si), (re + si, im - sr))[e]
+            m = ThetaCharacteristic.make([_HALF * x for x in a2], [_HALF * x for x in b2])
+            with ctx.workprec(extra):
+                out[m] = _from_fixed(re, im, prec)
+    return out
 
 
 def jacobi_thetas(z, tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
@@ -281,12 +439,11 @@ def jacobi_thetas(z, tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
     theta_3 = theta_{0,0},      theta_4 = theta_{0,1/2}.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
-    with ctx.workprec():     # negation rounds to the current precision
-        t1 = -theta_char(ThetaCharacteristic.make([_HALF], [_HALF]), z, tau, ctx)
-    t2 = theta_char(ThetaCharacteristic.make([_HALF], [0]), z, tau, ctx)
-    t3 = theta_char(ThetaCharacteristic.make([0], [0]), z, tau, ctx)
-    t4 = theta_char(ThetaCharacteristic.make([0], [_HALF]), z, tau, ctx)
-    return t1, t2, t3, t4
+    table = _halfint_table(_z_vector(z, 1, ctx), tau, ctx)
+    t1 = mp.fneg(table[ThetaCharacteristic.make([_HALF], [_HALF])], exact=True)
+    return (t1, table[ThetaCharacteristic.make([_HALF], [0])],
+            table[ThetaCharacteristic.make([0], [0])],
+            table[ThetaCharacteristic.make([0], [_HALF])])
 
 
 def theta_norm(z, tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
@@ -334,14 +491,7 @@ def modular_discriminant(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
 def theta_nulls_halfint(tau, ctx: PrecisionContext = DEFAULT_CTX) -> dict:
     """All 4^g theta nulls theta_{a,b}(0, tau) over half-integral characteristics."""
     tau = as_siegel(tau, ctx=ctx)
-    g = tau.g
-    zero = [mpc(0)] * g
-    out = {}
-    for abits in itertools.product((Fraction(0), _HALF), repeat=g):
-        for bbits in itertools.product((Fraction(0), _HALF), repeat=g):
-            m = ThetaCharacteristic.make(abits, bbits)
-            out[m] = theta_char(m, zero, tau, ctx)
-    return out
+    return _halfint_table([mpc(0)] * tau.g, tau, ctx)
 
 
 def phi_product(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
@@ -355,12 +505,11 @@ def phi_product(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     from .weierstrass import char_system
 
     tau = as_siegel(tau, ctx=ctx)
-    chars = char_system(tau.g)
-    zero = [mpc(0)] * tau.g
+    nulls = _halfint_table([mpc(0)] * tau.g, tau, ctx)
     with ctx.workprec():
         out = mpc(1)
-        for m in chars:
-            v = theta_char(m, zero, tau, ctx)
+        for m in char_system(tau.g):
+            v = nulls[m]
             if abs(v) <= ctx.tol():
                 raise DomainError(
                     f"theta null at characteristic a={[str(x) for x in m.a]}, "
@@ -376,12 +525,10 @@ def j10(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     tau = as_siegel(tau, ctx=ctx)
     if tau.g != 2:
         raise DomainError(f"J10 is defined for g=2, got g={tau.g}")
-    nulls = theta_nulls_halfint(tau, ctx)
-    even = [(m, v) for m, v in nulls.items() if m.parity() == 0]
-    if len(even) != 10:
-        raise NumericError(f"found {len(even)} even characteristics for g=2, not 10 (internal error)")
+    nulls = _halfint_table([mpc(0)] * 2, tau, ctx)
     with ctx.workprec():
         out = mpc(1)
-        for _, v in even:
-            out *= v * v
+        for m, v in nulls.items():
+            if m.parity() == 0:
+                out *= v * v
         return +out

@@ -2,7 +2,14 @@
 
 import json
 
+import pytest
+from mpmath import mp, mpc, mpf
+
+from thetaheights import cli
 from thetaheights.cli import run
+from thetaheights.hyper_faltings import bomemo_closed_form
+from thetaheights.precision import PrecisionContext
+from thetaheights.theta_engine import ThetaCharacteristic, theta_char
 
 CM_CURVE = '{"genus":1,"P":["0","0","0","1"],"Q":["1"]}'
 E37_CURVE = '{"genus":1,"P":["0","-1","0","1"],"Q":["1"]}'
@@ -100,6 +107,26 @@ def test_jacobian_faltings_cm_quintic(tmp_path):
     assert doc["total"].startswith("0.3853678267637")
 
 
+def test_jacobian_faltings_prints_thirty_correct_digits(tmp_path):
+    # the CLI runs at mpmath's default 53 bits; every printed digit must
+    # still come from the working precision
+    with mp.workprec(53):
+        code, doc = run_json(["jacobian", "faltings", "--cm-quintic", "--prec", "256"], tmp_path)
+    assert code == 0
+    closed = bomemo_closed_form(PrecisionContext(bits=300))
+    assert doc["total"] == mp.nstr(closed, cli.JSON_DIGITS)
+
+
+def test_decimal_tau_parsed_at_working_precision(tmp_path):
+    with mp.workprec(53):
+        code, doc = run_json(["theta", "eval", "--a", "0", "--b", "0", "--prec", "256",
+                              "--tau", '["0.1","1.3"]'], tmp_path)
+    assert code == 0
+    ref = theta_char(ThetaCharacteristic.make([0], [0]), 0, mpc("0.1", "1.3"),
+                     PrecisionContext(bits=320))
+    assert abs(mpc(*doc["value"]) - ref) < mpf(10) ** -29 * abs(ref)
+
+
 def test_check_identities(tmp_path):
     code, doc = run_json(["check", "identities", "--seed", "7", "--samples", "6",
                           "--prec", "96"], tmp_path)
@@ -144,6 +171,22 @@ def test_exit_code_parse_error():
 def test_point_with_zero_denominator_is_parse_error():
     assert run(["elliptic", "height", "--curve", E37_CURVE, "--point", "1/0,1"]) == 2
     assert run(["theta", "eval", "--a", "1/0", "--b", "0", "--tau", "[0,1]"]) == 2
+
+
+def test_malformed_jacobian_input_is_parse_error():
+    assert run(["jacobian", "faltings", "--cm-quintic", "--finite", '[{"p": "x"}]']) == 2
+    assert run(["jacobian", "faltings", "--cm-quintic", "--finite", '[{"e": 1}]']) == 2
+    assert run(["jacobian", "faltings", "--cm-quintic", "--finite", "[5]"]) == 2
+    assert run(["jacobian", "faltings", "--tau", "[[[0,1],[0,0]],7]"]) == 2
+
+
+def test_internal_value_error_is_not_a_parse_error(monkeypatch):
+    def broken(args, ctx):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli._HANDLERS, ("curve", "disc"), broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["curve", "disc", "--curve", CM_CURVE])
 
 
 def test_jacobian_faltings_refuses_reducible_tau():

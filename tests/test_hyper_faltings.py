@@ -19,7 +19,7 @@ from thetaheights.hyper_faltings import (
     quintic_cm_period_matrix,
 )
 from thetaheights.precision import PrecisionContext
-from thetaheights.siegel import check_reduced, random_reduced_tau
+from thetaheights.siegel import apply_symplectic, check_reduced, random_reduced_tau
 from thetaheights.theta_engine import j10, modular_discriminant, phi_product
 from thetaheights.weierstrass import WeierstrassEquation
 
@@ -46,6 +46,43 @@ def test_eta_norm_g2_phi_vs_j10_route(ctx96):
     j = j10(tau, ctx96)
     assert abs(abs(phi) ** (mpf(1) / 40) - abs(j) ** (mpf(1) / 10)) \
         < mpf(2) ** -(ctx96.bits - 16) * abs(j) ** (mpf(1) / 10)
+
+
+def _unimodular_gamma(U):
+    """[[U^T, 0], [0, U^{-1}]] in Sp(4, Z): tau -> U^T tau U."""
+    (a, b), (c, d) = U
+    det = a * d - b * c
+    inv = ((det * d, -det * b), (-det * c, det * a))
+    return ((a, c, 0, 0), (b, d, 0, 0),
+            (0, 0) + inv[0], (0, 0) + inv[1])
+
+
+def _translation_gamma(B):
+    """[[I, B], [0, I]] in Sp(4, Z): tau -> tau + B, B symmetric integral."""
+    return ((1, 0, B[0][0], B[0][1]), (0, 1, B[1][0], B[1][1]),
+            (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def test_eta_norm_g2_symplectic_invariance(ctx96):
+    # |phi|^{1/40} det(Im tau)^{1/2} = (|J10| det(Im tau)^5)^{1/10} is Sp(4, Z)-invariant
+    unimodular = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
+                  ((1, -1), (0, 1)), ((1, 0), (-1, 1)), ((-1, 0), (0, 1)), ((2, 1), (1, 1))]
+    rng = random.Random(31)
+    checked = 0
+    while checked < 6:
+        tau = random_reduced_tau(2, rng, ctx96)
+        if checked % 2 == 0:
+            b = rng.randint(-2, 2)
+            gamma = _translation_gamma(((rng.randint(-2, 2), b), (b, rng.randint(-2, 2))))
+        else:
+            gamma = _unimodular_gamma(rng.choice(unimodular))
+        moved = apply_symplectic(gamma, tau, ctx96)
+        if moved.min_imag_eigenvalue() < 0.3:
+            continue
+        h0 = eta_norm_arch(2, tau, ctx96)
+        h1 = eta_norm_arch(2, moved, ctx96)
+        assert abs(h0 - h1) < mpf(2) ** -(ctx96.bits - 16)
+        checked += 1
 
 
 def test_eta_norm_finite_for_large_imag(ctx):

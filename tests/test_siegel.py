@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from thetaheights.errors import PreconditionError
+from thetaheights.precision import PrecisionContext
 from thetaheights.siegel import (
     apply_symplectic,
     check_reduced,
@@ -196,6 +197,16 @@ def test_theta_null_bounds_imaginary_sweep(ctx96):
 def test_theta_null_bounds_g2_identity(ctx):
     rep = theta_null_bounds([[mpc(0, 1), 0], [0, mpc(0, 1)]], ctx)
     assert rep.max_ok and rep.min_ok
+
+
+def test_null_ratio_height_on_reducible_locus_is_precision_independent():
+    # at diag(i, i) the even null theta[1/2 1/2; 1/2 1/2] vanishes exactly; it
+    # must be left out of the nonzero minimum, not read as rounding noise
+    tau = [[mpc(0, 1), 0], [0, mpc(0, 1)]]
+    vals = [theta_null_bounds(tau, PrecisionContext(bits=b)).null_ratio_height
+            for b in (64, 128, 256)]
+    assert all(mp.isfinite(v) for v in vals)
+    assert max(vals) - min(vals) < mpf(2) ** -60
 
 
 def test_theta_null_bounds_requires_reduced(ctx):

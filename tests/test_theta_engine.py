@@ -1,6 +1,7 @@
 """Theta engine: series values against independent oracles, conventions,
 invariances, and the error-bound contract."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from thetaheights.siegel import random_reduced_tau
 from thetaheights.theta_engine import (
     SiegelMatrix,
     ThetaCharacteristic,
+    _halfint_table,
     as_siegel,
     j10,
     jacobi_thetas,
@@ -107,6 +109,51 @@ def test_jacobi_thetas_keep_working_precision_at_low_global_precision(ctx):
         ours = jacobi_thetas(z, tau, ctx)
     for a, b in zip(ours, classical_jacobi_series(z, tau)):
         assert abs(a - b) < mpf(10) ** -30
+
+
+def test_jacobi_thetas_round_z_at_working_precision(ctx):
+    # a non-dyadic z and tau carrying 360 bits, evaluated under a 53-bit
+    # global precision, must not be rounded to 53 bits on the way in
+    z, tau = mpc("0.3", "0.2"), mpc("0.1", "1.3")
+    with mp.workprec(53):
+        ours = jacobi_thetas(z, tau, ctx)
+    for a, b in zip(ours, classical_jacobi_series(z, tau)):
+        assert abs(a - b) < mpf(10) ** -30
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+def test_jacobi_thetas_match_mpmath_jtheta(bits):
+    # mpmath.jtheta(n, w, q) sums the classical series in w = pi z with nome
+    # q = e^{i pi tau}; q^{1/4} is the principal root, e^{i pi tau/4} for |Re tau| < 1
+    c = PrecisionContext(bits=bits)
+    rng = random.Random(bits)
+    for _ in range(10):
+        tau = random_reduced_tau(1, rng, c).scalar()
+        z = rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau
+        ours = jacobi_thetas(z, tau, c)
+        with mp.workprec(bits + 64):
+            q = mp.expjpi(tau)
+            ref = [mp.jtheta(n, mp.pi * z, q) for n in (1, 2, 3, 4)]
+            for a, b in zip(ours, ref):
+                assert abs(a - b) < c.eps()
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_jacobi_thetas_keep_absolute_error_for_large_values(bits):
+    # far from the real torus |theta| reaches 2^35; the promised error is
+    # absolute, so the result must keep bits + guard bits below 1, not only
+    # bits + guard significant bits.  tau and z are dyadic: the library rounds
+    # its inputs to bits + guard, which alone would move theta by 2^-(bits + 5)
+    c = PrecisionContext(bits=bits)
+    tau, z = mpc(-0.25, 0.15625), mpc(-0.6875, 1.0625)
+    ours = jacobi_thetas(z, tau, c)
+    with mp.workprec(bits + 64):
+        q = mp.expjpi(tau)
+        ref = [mp.jtheta(n, mp.pi * z, q) for n in (1, 2, 3, 4)]
+    assert abs(ref[2]) > 2 ** 30
+    for a, b in zip(ours, ref):
+        assert abs(a - b) < c.eps()
+    assert abs(theta_char(char(0, 0), z, tau, c) - ref[2]) < c.eps()
 
 
 def test_theta1_vanishes_at_origin(ctx):
@@ -219,6 +266,54 @@ def test_phi_g2_equals_j10_fourth(ctx96):
     p = phi_product(tau, ctx96)
     j = j10(tau, ctx96)
     assert abs(p / j ** 4 - 1) < mpf(2) ** -(ctx96.bits - 12)
+
+
+# --- the half-integral table against single-characteristic sums --------------
+
+
+def _halfint_chars(g):
+    halves = (Fraction(0), HALF)
+    return [ThetaCharacteristic.make(a, b)
+            for a in itertools.product(halves, repeat=g)
+            for b in itertools.product(halves, repeat=g)]
+
+
+def test_g2_table_matches_theta_char_with_wider_box(ctx):
+    # theta_char walks n + a with step 1 into one bin, over a box widened by 2;
+    # the table walks k/2 with step 1/2 into 16 bins
+    rng = random.Random(41)
+    for _ in range(5):
+        tau = random_reduced_tau(2, rng, ctx)
+        z = [mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.3, 0.3)) for _ in range(2)]
+        table = _halfint_table(z, tau, ctx)
+        assert set(table) == set(_halfint_chars(2))
+        for m, v in table.items():
+            assert abs(v - theta_char(m, z, tau, ctx, radius_margin=2)) < ctx.eps()
+
+
+def test_odd_nulls_vanish_in_the_table(ctx):
+    rng = random.Random(43)
+    for _ in range(5):
+        nulls = theta_nulls_halfint(random_reduced_tau(2, rng, ctx), ctx)
+        odd = [v for m, v in nulls.items() if m.parity() == 1]
+        assert len(odd) == 6
+        assert all(abs(v) <= ctx.tol() for v in odd)
+
+
+def test_g3_table_matches_theta_char():
+    ctx64 = PrecisionContext(bits=64)
+    tau = [[mpc(0, "1.1"), mpc("0.1", "0.2"), mpc(0, "0.1")],
+           [mpc("0.1", "0.2"), mpc(0, "1.3"), mpc("0.1", "0.15")],
+           [mpc(0, "0.1"), mpc("0.1", "0.15"), mpc(0, "1.5")]]
+    nulls = theta_nulls_halfint(tau, ctx64)
+    assert len(nulls) == 64
+    assert sum(1 for m in nulls if m.parity() == 0) == 36
+    assert all(abs(v) <= ctx64.tol() for m, v in nulls.items() if m.parity() == 1)
+    for a, b in (((0, 0, 0), (0, 0, 0)), ((HALF, 0, HALF), (0, 0, 0)),
+                 ((HALF, HALF, 0), (HALF, HALF, HALF))):
+        m = ThetaCharacteristic.make(a, b)
+        assert m.parity() == 0
+        assert abs(nulls[m] - theta_char(m, [0, 0, 0], tau, ctx64)) < ctx64.eps()
 
 
 # --- J10 ---------------------------------------------------------------------

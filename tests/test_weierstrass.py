@@ -176,6 +176,8 @@ def test_char_system_g2_distinct_even():
 
 
 def test_char_system_g2_is_the_even_set(ctx):
+    # exact set equality: phi and J10 are products over the same 10 even
+    # nulls, which is why faltings_jacobian evaluates one table of nulls
     from thetaheights.theta_engine import theta_nulls_halfint
 
     nulls = theta_nulls_halfint([[mpc(0, "1.1"), 0], [0, mpc(0, "1.3")]], ctx)
