@@ -499,16 +499,21 @@ class AutissierResult:
 
 
 def _theta_norm_grid(tau_c: complex, n: int) -> np.ndarray:
-    """||theta||(z, tau) on the midpoint grid z = ((i+1/2)/n) + ((j+1/2)/n) tau."""
+    """||theta||(z, tau) on the midpoint grid z = ((i+1/2)/n) + ((j+1/2)/n) tau.
+
+    The terms factor over the two grid axes: with z = u + v tau,
+    e^{pi i k^2 tau + 2 pi i k z} = e^{2 pi i k u} e^{pi i k (k + 2v) tau}, so
+    the n x n sum is one (n x K) @ (K x n) product.  The norm factor
+    (Im tau)^{1/4} e^{-pi (Im z)^2 / Im tau} depends on v alone and rides in
+    the second factor, whose entries then have modulus e^{-pi y (k + v)^2}.
+    """
     y = tau_c.imag
     a = (np.arange(n) + 0.5) / n
-    u, v = np.meshgrid(a, a, indexing="ij")
-    z = u + v * tau_c
     N = int(6.0 / math.sqrt(y) + 0.5 * abs(tau_c.imag) + 8)
-    th = np.zeros_like(z, dtype=complex)
-    for k in range(-N, N + 1):
-        th += np.exp(1j * np.pi * k * k * tau_c + 2j * np.pi * k * z)
-    return (y ** 0.25) * np.exp(-np.pi * (z.imag) ** 2 / y) * np.abs(th)
+    k = np.arange(-N, N + 1)[:, None]
+    along_u = np.exp(2j * np.pi * k * a)
+    along_v = (y ** 0.25) * np.exp(1j * np.pi * k * (k + 2 * a) * tau_c - np.pi * y * a * a)
+    return np.abs(along_u.T @ along_v)
 
 
 def _autissier_value(tau_c: complex, n: int, scale: float) -> tuple:

@@ -13,6 +13,7 @@ from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
     _duplicate,
     _onto_curve,
+    _theta_norm_grid,
     alpha_arch,
     alpha_finite,
     autissier_integral,
@@ -399,6 +400,23 @@ def test_canonical_height_model_invariance(ctx):
 
 
 # --- Autissier's integral -----------------------------------------------------------
+
+
+def test_theta_norm_grid_matches_jtheta():
+    # the grid is one matrix product over the two axes; check every node
+    # against the classical series theta_3(pi z, e^{pi i tau}) of mpmath
+    n = 6
+    for tau_c in (1j, complex(0.5, 0.87), complex(-0.31, 0.93), complex(0.2, 4.5)):
+        grid = _theta_norm_grid(tau_c, n)
+        y = tau_c.imag
+        with mp.workprec(80):
+            q = mp.expjpi(mpc(tau_c))
+            for i in range(n):
+                for j in range(n):
+                    z = mpc((i + 0.5) / n) + mpc((j + 0.5) / n) * mpc(tau_c)
+                    want = (mpf(y) ** 0.25 * mp.exp(-mp.pi * z.imag ** 2 / y)
+                            * abs(mp.jtheta(3, mp.pi * z, q)))
+                    assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, float(want))
 
 
 def test_autissier_positive_at_sample_points(ctx):
