@@ -4,9 +4,15 @@ Archimedean side: the telescoping mu-series built from the theta duplication
 forms, the Arakelov beta term, and their combination
 alpha = 2(beta - mu) = -(1/12) log(|Delta(tau)| (2 Im tau)^6).
 The series sums the Jacobi thetas once, at 2z, and walks the orbit [2^n] P
-through the duplication quartics on the projective theta point (t1:t2:t3:t4);
-mu_arch_closed evaluates the telescoped limit from direct theta sums and is
-the independent cross-check.
+on the Kummer line (X : Y) = (t3^2 : t4^2), the curve modulo -1, which is
+P^1: the squared duplication quartics step the point, and the Jacobi
+quadrics read t1^2 and t2^2 back from it.  The walk runs in fixed point at
+the reduced tau, with 2 log2 rho + 8 extra bits for the distortion of the
+Kummer coordinate, rho the spread of the squared theta nulls (about
+e^{pi Im tau / 2} / 2; see _duplication_orbit).  mu_arch_closed evaluates
+the telescoped limit -log N(2z) + (1/3) log c from direct theta sums; beta_arch
+reads the same N(2z), so 2(beta - mu_closed) = alpha by algebra, and only the
+orbit series makes the decomposition a check.
 
 The duplication forms are normalized so that the constant in the telescoping
 limit vanishes and alpha matches the differential-height formula place by
@@ -34,7 +40,8 @@ from mpmath import mp, mpc, mpf
 from .errors import DomainError, NumericError, OrbitCollisionError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .siegel import reduce_g1
-from .theta_engine import as_siegel, jacobi_thetas, modular_discriminant, theta_norm
+from .theta_engine import (MIN_IMAG_EIGENVALUE, SiegelMatrix, _fixed, _fmul, as_siegel,
+                           jacobi_thetas, modular_discriminant, theta_norm)
 from .weierstrass import WeierstrassEquation, finite_valuations
 
 
@@ -124,47 +131,6 @@ def _form_constant(nulls, normalized: bool) -> mpf:
     return c / 2 if normalized else c
 
 
-def _duplicate(x, nulls) -> tuple:
-    """Theta coordinates at 2w from those at w, by the duplication quartics
-
-        t1(2w) t2 t3 t4 = 2 t1 t2 t3 t4(w),   t2(2w) t2^3 = t2^4 - t1^4,
-        t3(2w) t3^3 = t3^4 + t1^4,            t4(2w) t4^3 = t4^4 - t1^4,
-
-    with the nulls t_i = t_i(0) on the left.  The map is homogeneous of
-    degree 4: scaling x by s scales the result by s^4.
-    """
-    x1, x2, x3, x4 = x
-    n2, n3, n4 = nulls
-    p1 = x1 ** 4
-    return (2 * x1 * x2 * x3 * x4 / (n2 * n3 * n4), (x2 ** 4 - p1) / n2 ** 3,
-            (x3 ** 4 + p1) / n3 ** 3, (x4 ** 4 - p1) / n4 ** 3)
-
-
-def _onto_curve(x, squares) -> list:
-    """One least-norm Newton step from x onto the curve cut out by the Jacobi
-    quadrics
-
-        t4^2 t1(w)^2 + t3^2 t2(w)^2 - t2^2 t3(w)^2 = 0,
-        t2^2 t2(w)^2 - t3^2 t3(w)^2 + t4^2 t4(w)^2 = 0,
-
-    with squares = (t2^2, t3^2, t4^2) of the nulls.
-    """
-    a, b, c = squares
-    x1, x2, x3, x4 = x
-    r1 = c * x1 ** 2 + b * x2 ** 2 - a * x3 ** 2
-    r2 = a * x2 ** 2 - b * x3 ** 2 + c * x4 ** 2
-    # halved gradients; the step is -J^H (J J^H)^{-1} r / 2
-    j1 = (c * x1, b * x2, -a * x3, 0)
-    j2 = (0, a * x2, -b * x3, c * x4)
-    g11 = mp.fsum(_abs2(v) for v in j1)
-    g22 = mp.fsum(_abs2(v) for v in j2)
-    g12 = mp.fsum(u * mp.conj(v) for u, v in zip(j1, j2))
-    det = 2 * (g11 * g22 - _abs2(g12))
-    y1 = (g22 * r1 - g12 * r2) / det
-    y2 = (g11 * r2 - mp.conj(g12) * r1) / det
-    return [v - mp.conj(u1) * y1 - mp.conj(u2) * y2 for v, u1, u2 in zip(x, j1, j2)]
-
-
 def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext, normalized: bool) -> list:
     """E at w, 2w, ..., 2^{n_terms-1} w from one theta evaluation at w.
 
@@ -172,26 +138,110 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext, normalized: 
     so it can be read off any scaling of the projective point T = (t1:t2:t3:t4):
     the Gaussian factors e^{-pi Im(w)^2/Im tau} of the lattice-invariant norm
     cancel, and the orbit needs neither lattice reduction nor a further theta
-    sum.  After every step the point is rescaled to unit norm and put back on
-    the curve (_onto_curve); the orbit runs with about log2 e^{pi Im(tau)/2}
-    extra bits (see mu_arch_terms).
+    sum.  E is also SL2(Z)-invariant when w moves with tau as w / (c tau + d):
+    the thetas permute, and c = |eta|^3 and N pick up matching powers of
+    |c tau + d|.
+
+    The orbit runs on the Kummer line (X : Y) = (t3^2 : t4^2), which is P^1
+    (Gaudry, Fast genus 2 arithmetic based on Theta functions, J. Math.
+    Cryptol. 1, 2007).  With n_i the nulls, the Jacobi quadrics read the other
+    two squares back,
+
+        t2^2 = (n3^2 X - n4^2 Y) / n2^2,   t1^2 = (n2^2 X - n3^2 t2^2) / n4^2,
+
+    so ||T||^2 = |t1^2| + |t2^2| + |X| + |Y|, and the duplication quartics
+    t3(2w) n3^3 = t3^4 + t1^4, t4(2w) n4^3 = t4^4 - t1^4 square to
+
+        X' = ((X^2 + t1^4) / n3^3)^2,      Y' = ((Y^2 - t1^4) / n4^3)^2.
+
+    Every point of P^1 is a point of the curve, so rounding cannot push the
+    orbit off it.  The walk runs in fixed point, Python integers in units of
+    2^-P as in theta_engine._walk, and rescales the point to unit norm after
+    every step, so that E = c ||T'||.
+
+    Precision.  A rounding error d in the unit-norm point moves w by up to
+    D d, D the largest |dw/dx| of the Kummer coordinate.  The doublings carry
+    that to 2^{n-k} D d at step n, where log E changes by a bounded multiple
+    of it under the weight 4^{-n-1}: an error made at step k costs
+    O(4^{-k} D d) of the sum, so the first steps dominate.  D grows like
+    rho^2, rho = ||n||^2 / min |n_i|^2 the spread of the squared nulls, and
+    rho also bounds the read-back, whose division by n2^2 cancels leading
+    digits.  On the fundamental domain n2 is a smallest null and
+    log2 rho <= pi Im tau / (2 log 2) (rho is about e^{pi Im tau / 2} / 2),
+    so the sum loses about 2 log2 rho bits, that is pi Im tau / log 2.
+    Measured with no extra bits: 2 log2 rho - 8 lost at Im tau = 20, and up
+    to 2 log2 rho + 4 near Im tau = 1, where the per-step rounding
+    dominates.  Off the fundamental domain (t3^2 : t4^2) is worse
+    conditioned (near the cusp 0 the divisions by n4 lose over 3 log2 rho),
+    which is why the orbit runs at the reduced tau.  The nulls, the thetas
+    at w and the walk all run at
+    P = bits + guard + 2 ceil(pi Im tau / (2 log 2)) + 8, Im tau reduced.
+    The caller's tau must still clear the Im tau >= 0.1 floor of the theta
+    sums.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
-    extra = int(math.pi * float(tau.scalar().imag) / (2 * math.log(2))) + 4
+    if tau.min_imag_eigenvalue() < MIN_IMAG_EIGENVALUE:
+        # the refusal floor of every theta sum, applied to the caller's tau
+        raise DomainError(f"Im(tau) < {MIN_IMAG_EIGENVALUE}: Siegel-reduce tau first")
+    red = reduce_g1(tau, ctx)
+    extra = 2 * math.ceil(math.pi * float(red.reduced.scalar().imag) / (2 * math.log(2))) + 8
     hi = ctx.higher(extra)
+    prec = hi.working_bits
+    (ga, gb), (gc, gd) = red.gamma
     with hi.workprec():
-        nulls = _theta_nulls(tau, hi)
-        x = jacobi_thetas(reduce_point_mod_lattice(w, tau, hi), tau, hi)
-        squares = [v * v for v in nulls]
-        c = _form_constant(nulls, normalized)
-        out = []
-        for _ in range(n_terms):
-            nx = _l2(x)
-            y = _duplicate(x, nulls)
-            ny = _l2(y)
-            out.append(c * ny / nx ** 4)
-            x = _onto_curve([v / ny for v in y], squares)
-        return out
+        t = tau.scalar()
+        j = gc * t + gd
+        tau = SiegelMatrix.from_scalar((ga * t + gb) / j, hi)
+        w = mpc(w) / j
+    nulls = _theta_nulls(tau, hi)
+    ths = jacobi_thetas(reduce_point_mod_lattice(w, tau, hi), tau, hi)
+    with hi.workprec():
+        form = _form_constant(nulls, normalized)
+        line = _kummer_line(nulls, prec)
+        pts = [v * v for v in ths]
+        size = mp.fsum(abs(v) for v in pts)
+        A, _, X, Y = (_fixed(v / size, prec) for v in pts)       # t1^2, t2^2, t3^2, t4^2
+    one = 1 << prec
+    sizes = []
+    for _ in range(n_terms):
+        X, Y = _kummer_double(X, Y, A, line, prec)
+        A, B = _kummer_read_back(X, Y, line, prec)
+        size = sum(math.isqrt(v[0] * v[0] + v[1] * v[1]) for v in (A, B, X, Y))
+        sizes.append(size)
+        X, Y, A = (((v[0] * one + size // 2) // size, (v[1] * one + size // 2) // size)
+                   for v in (X, Y, A))
+    with hi.workprec():
+        return [form * mp.sqrt(mp.ldexp(s, -prec)) for s in sizes]
+
+
+def _kummer_line(nulls, prec: int) -> tuple:
+    """The constants of the Kummer line in units of 2^-prec: n3^2/n2^2,
+    n4^2/n2^2, n2^2/n4^2, n3^2/n4^2 for the read-back, 1/n3^6 and 1/n4^6
+    for the duplication."""
+    s2, s3, s4 = (v * v for v in nulls)
+    return tuple(_fixed(v, prec) for v in (s3 / s2, s4 / s2, s2 / s4, s3 / s4,
+                                           1 / s3 ** 3, 1 / s4 ** 3))
+
+
+def _kummer_read_back(X, Y, line, prec: int) -> tuple:
+    """(t1^2, t2^2) of the Kummer point (X : Y) = (t3^2 : t4^2), by the Jacobi
+    quadrics; fixed point, on the same scale as X and Y."""
+    r32, r42, r24, r34 = line[:4]
+    u, v = _fmul(r32, X, prec), _fmul(r42, Y, prec)
+    t2 = u[0] - v[0], u[1] - v[1]
+    u, v = _fmul(r24, X, prec), _fmul(r34, t2, prec)
+    return (u[0] - v[0], u[1] - v[1]), t2
+
+
+def _kummer_double(X, Y, A, line, prec: int) -> tuple:
+    """(X, Y) at 2w from (X, Y) and A = t1^2 at w, by the squared quartics
+    X' = ((X^2 + A^2) / n3^3)^2, Y' = ((Y^2 - A^2) / n4^3)^2; fixed point,
+    homogeneous of degree 4."""
+    p = _fmul(A, A, prec)
+    x2, y2 = _fmul(X, X, prec), _fmul(Y, Y, prec)
+    u = x2[0] + p[0], x2[1] + p[1]
+    v = y2[0] - p[0], y2[1] - p[1]
+    return _fmul(line[4], _fmul(u, u, prec), prec), _fmul(line[5], _fmul(v, v, prec), prec)
 
 
 def duplication_quotient(w, tau, ctx: PrecisionContext = DEFAULT_CTX,
@@ -236,16 +286,17 @@ def mu_arch_terms(z, tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX,
     """The first n_terms values E([2^n] P), n = 0, 1, ..., with P at w = 2z.
 
     The Jacobi thetas are evaluated once, at the lattice-reduced 2z; every
-    later point of the orbit comes from the previous one through the
-    duplication quartics (see _duplication_orbit).
+    later point of the orbit comes from the previous one through the squared
+    duplication quartics on the Kummer line (t3^2 : t4^2) (see
+    _duplication_orbit).
 
-    Why rounding stays bounded: off the curve the quartic map expands faster
-    than the weights 4^{-n-1} of the mu-series shrink (50-100x a step at
-    Im tau = 2.7), so each step projects the point back onto the curve.  Along
-    the curve the map is the doubling: an error injected at step k grows like
-    2^{n-k} by step n, times the distortion of the theta embedding (up to
-    about e^{pi Im(tau)/2}), while term n is weighted by 4^{-n-1}.  The sum
-    therefore loses only that distortion, which the extra bits cover.
+    Why rounding stays bounded: the Kummer line is P^1, so a rounded point is
+    still a point of the curve, at a w off by the rounding times the
+    distortion of the Kummer coordinate.  The map is the doubling: an error
+    injected at step k grows like 2^{n-k} by step n, while term n is weighted
+    by 4^{-n-1}, so the sum loses only that distortion, about
+    pi Im tau / log 2 bits at the reduced tau, which the extra bits of the
+    walk cover.
     """
     with ctx.workprec():
         return _duplication_orbit(2 * mpc(z), tau, n_terms, ctx, normalized)
@@ -273,6 +324,9 @@ def mu_arch_closed(z, tau, ctx: PrecisionContext = DEFAULT_CTX,
 
     c is the duplication-form constant (|t2 t3 t4|, halved when normalized)
     and N the lattice-invariant l2-norm of the four theta coordinates.
+    beta_arch reads the same N(2z), so 2(beta - mu_closed) = alpha holds by
+    algebra whatever the theta sums return; only mu_arch_series, which walks
+    the orbit, makes the decomposition a real check.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
     nulls = _theta_nulls(tau, ctx)
@@ -285,17 +339,25 @@ def mu_arch_closed(z, tau, ctx: PrecisionContext = DEFAULT_CTX,
 def beta_arch(z, tau, r: int = 2, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """beta(P) = -(1/2) log( 2^{1/2} sum_{e in Z_r} ||theta||^2 (r z + e, tau) ).
 
-    The sum runs over the r^2 torsion representatives (j + k tau)/r.
+    The sum runs over the r^2 torsion representatives (j + k tau)/r.  At
+    r = 2 the half-period shifts of theta_3 are the four Jacobi thetas at
+    w = 2z, up to Gaussian factors that combine into one, so
+    beta = -(1/2) log(2^{1/2} (Im tau)^{1/2} N(w)^2) from a single
+    jacobi_thetas call, N as in mu_arch_closed, which reads the same N(2z):
+    2(beta - mu_closed) = alpha holds by algebra.  r = 4 sums theta_norm over
+    the sixteen quarter-period shifts.
     """
     if r not in (2, 4):
         raise DomainError("r must be 2 or 4")
     tau = as_siegel(tau, g=1, ctx=ctx)
     with ctx.workprec():
         t = tau.scalar()
-        zr = reduce_point_mod_lattice(mpc(z), tau, ctx)
-        base = r * zr
-        tot = mp.fsum(theta_norm(base + (mpf(j) + mpf(k) * t) / r, tau, ctx) ** 2
-                      for j in range(r) for k in range(r))
+        if r == 2:
+            w = reduce_point_mod_lattice(2 * mpc(z), tau, ctx)
+            return -mp.log(mp.sqrt(2 * t.imag) * _normalized_vector_norm(w, tau, ctx) ** 2) / 2
+        base = 4 * reduce_point_mod_lattice(mpc(z), tau, ctx)
+        tot = mp.fsum(theta_norm(base + (mpf(j) + mpf(k) * t) / 4, tau, ctx) ** 2
+                      for j in range(4) for k in range(4))
         return -mp.log(mp.sqrt(2) * tot) / 2
 
 

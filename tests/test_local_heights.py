@@ -11,8 +11,9 @@ from mpmath import mp, mpc, mpf
 from thetaheights.elliptic import point_add, point_neg
 from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
-    _duplicate,
-    _onto_curve,
+    _kummer_double,
+    _kummer_line,
+    _kummer_read_back,
     _theta_norm_grid,
     alpha_arch,
     alpha_finite,
@@ -28,7 +29,13 @@ from thetaheights.local_heights import (
     reduce_point_mod_lattice,
 )
 from thetaheights.siegel import random_reduced_tau
-from thetaheights.theta_engine import jacobi_thetas, modular_discriminant
+from thetaheights.theta_engine import (
+    _fixed,
+    _from_fixed,
+    jacobi_thetas,
+    modular_discriminant,
+    theta_norm,
+)
 from thetaheights.precision import PrecisionContext
 from thetaheights.weierstrass import WeierstrassEquation
 
@@ -50,31 +57,33 @@ def test_mu_series_matches_closed_form(ctx):
         assert abs(s - c) <= mu_tail_bound(tau, n, ctx)
 
 
-def test_duplication_quartics_match_direct_thetas(ctx):
-    # each quartic against the Jacobi thetas summed directly at 2w
+def test_kummer_step_matches_direct_thetas(ctx):
+    # one step on the Kummer line (t3^2 : t4^2) against the Jacobi thetas
+    # summed directly at 2w; the walk's unit-norm point fixes the scale
     rng = random.Random(11)
+    prec = ctx.working_bits + 16
     for _ in range(8):
         tau = random_reduced_tau(1, rng, ctx)
         t = tau.scalar()
         w = reduce_point_mod_lattice(mpc(rng.random(), 0) + rng.random() * t, tau, ctx)
         nulls = jacobi_thetas(0, tau, ctx)[1:]
-        stepped = _duplicate(jacobi_thetas(w, tau, ctx), nulls)
-        direct = jacobi_thetas(2 * w, tau, ctx)
-        for a, b in zip(stepped, direct):
-            assert abs(a - b) <= mpf(2) ** -(ctx.bits - 8) * max(1, abs(b))
+        squares = [v * v for v in jacobi_thetas(w, tau, ctx)]
+        direct = [v * v for v in jacobi_thetas(2 * w, tau, ctx)[2:]]
+        with mp.workprec(prec):
+            size = mp.fsum(abs(v) for v in squares)
+            A, _, X, Y = (_fixed(v / size, prec) for v in squares)
+            stepped = _kummer_double(X, Y, A, _kummer_line(nulls, prec), prec)
+            for a, b in zip(stepped, direct):
+                a = _from_fixed(*a, prec) * size ** 4
+                assert abs(a - b) <= mpf(2) ** -(ctx.bits - 8) * max(1, abs(b))
 
 
-def _jacobi_quadrics(x, nulls):
-    (x1, x2, x3, x4), (n2, n3, n4) = x, nulls
-    return (n4 ** 2 * x1 ** 2 + n3 ** 2 * x2 ** 2 - n2 ** 2 * x3 ** 2,
-            n2 ** 2 * x2 ** 2 - n3 ** 2 * x3 ** 2 + n4 ** 2 * x4 ** 2)
-
-
-def test_jacobi_quadrics_cut_out_the_theta_curve(ctx):
-    # the two quadrics vanish on the direct thetas; one Newton step brings a
-    # point knocked off the curve back onto it, near where it started
+def test_jacobi_quadrics_read_back_the_theta_squares(ctx):
+    # t1^2 and t2^2 read back from the Kummer point (t3^2 : t4^2) by the two
+    # Jacobi quadrics match the direct thetas
     rng = random.Random(12)
     tol = mpf(2) ** -(ctx.bits - 8)
+    prec = ctx.working_bits + 16
     for _ in range(8):
         tau = random_reduced_tau(1, rng, ctx)
         t = tau.scalar()
@@ -82,11 +91,11 @@ def test_jacobi_quadrics_cut_out_the_theta_curve(ctx):
         nulls = jacobi_thetas(0, tau, ctx)[1:]
         x = jacobi_thetas(w, tau, ctx)
         scale = max(abs(v) for v in x) ** 2
-        assert all(abs(r) <= tol * scale for r in _jacobi_quadrics(x, nulls))
-        bumped = [v + mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * mpf(10) ** -25 for v in x]
-        back = _onto_curve(bumped, [n * n for n in nulls])
-        assert all(abs(r) <= tol * scale for r in _jacobi_quadrics(back, nulls))
-        assert max(abs(a - b) for a, b in zip(back, x)) < mpf(10) ** -24
+        with mp.workprec(prec):
+            X, Y = (_fixed(v * v, prec) for v in x[2:])
+            back = _kummer_read_back(X, Y, _kummer_line(nulls, prec), prec)
+            for a, v in zip(back, x[:2]):
+                assert abs(_from_fixed(*a, prec) - v * v) <= tol * scale
 
 
 def _mu_cases(rng, ctx, count):
@@ -112,6 +121,23 @@ def test_mu_series_matches_closed_form_across_precisions(bits):
         s = mu_arch_series(z, tau, n, ctx)
         c = mu_arch_closed(z, tau, ctx)
         assert abs(s - c) <= ctx.tol() + mu_tail_bound(tau, n, ctx)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_mu_series_accurate_at_large_imag_tau(bits):
+    # the walk loses about pi Im tau / log 2 bits to the Kummer coordinate;
+    # the series must still meet 2^-bits against the same terms at bits + 64.
+    # -1/(x + 9i), near the cusp 0, is as badly conditioned as Im tau = 9.
+    ctx = PrecisionContext(bits=bits)
+    n = (bits + 24) // 2
+    rng = random.Random(bits + 1)
+    for tau in (mpc(rng.uniform(-0.5, 0.5), 10), mpc(rng.uniform(-0.5, 0.5), 20),
+                -1 / mpc(rng.uniform(-0.5, 0.5), 9)):
+        for _ in range(3):
+            z = mpc(rng.random(), 0) + rng.random() * tau
+            s = mu_arch_series(z, tau, n, ctx)
+            ref = mu_arch_series(z, tau, n, ctx.higher(64))
+            assert abs(s - ref) <= ctx.eps()
 
 
 def test_mu_terms_constant_on_two_torsion(ctx):
@@ -220,6 +246,23 @@ def test_beta_invariance_under_lattice(ctx):
 def test_beta_rejects_other_r(ctx):
     with pytest.raises(DomainError):
         beta_arch(0, mpc(0, 1), 3, ctx)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_beta_r2_matches_four_shift_theta_norm_sum(bits):
+    # beta at r = 2 reads N(2z) from one jacobi_thetas call; the oracle sums
+    # ||theta||^2 over the four half-period shifts of 2z
+    ctx = PrecisionContext(bits=bits)
+    rng = random.Random(bits + 2)
+    for _ in range(10):
+        tau = random_reduced_tau(1, rng, ctx)
+        t = tau.scalar()
+        z = mpc(rng.uniform(-1, 1), 0) + rng.uniform(-1, 1) * t
+        with ctx.workprec():
+            tot = mp.fsum(theta_norm(2 * z + (mpf(j) + mpf(k) * t) / 2, tau, ctx) ** 2
+                          for j in range(2) for k in range(2))
+            oracle = -mp.log(mp.sqrt(2) * tot) / 2
+        assert abs(beta_arch(z, tau, 2, ctx) - oracle) <= ctx.tol()
 
 
 # --- alpha ----------------------------------------------------------------------
