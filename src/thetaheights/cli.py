@@ -360,12 +360,9 @@ def _cmd_check_matrix_lemma(args, ctx):
 
 def _cmd_check_autissier(args, ctx):
     tau = _parse_tau(args.tau, ctx) if args.tau else theta_engine.as_siegel(mpc(0, 1), ctx=ctx)
-    res = local_heights.autissier_integral(tau, args.grid, ctx)
-    doc = {"value": res.value, "grid": res.grid_n, "grid_delta": res.grid_delta,
-           "nonnegative": bool(res.value >= -1e-6),
-           "warnings": list(res.warnings)}
-    table = [f"I(tau) = {res.value:.12g}  (grid {res.grid_n}, doubling delta "
-             f"{res.grid_delta:.3g})"]
+    res = local_heights.autissier_integral(tau, ctx=ctx)
+    doc = {"value": res.value, "nonnegative": bool(res.value >= 0), "warnings": []}
+    table = [f"I(tau) = {mp.nstr(res.value, 20)} = alpha/2"]
     return doc, table
 
 
@@ -447,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=20)
     p = leaf(g_chk, "autissier")
     p.add_argument("--tau", default=None)
-    p.add_argument("--grid", type=int, default=512)
     return ap
 
 

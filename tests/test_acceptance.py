@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
+from autissier_quadrature import autissier_quadrature
 from thetaheights.elliptic import (
     chowla_selberg,
     curve_from_a_invariants,
@@ -261,20 +262,29 @@ def test_c10_appendix_inequalities():
 
 
 def test_c11_autissier_positivity():
+    # the library's I = alpha / 2 (eta product) against the quadrature of the
+    # theta norm over the torus at grid 512, within its doubling delta
     rng = random.Random(11)
     taus = [mpc(0, 1), mpc(mpf(1) / 2, mp.sqrt(3) / 2)]
     taus += [random_reduced_tau(1, rng, CTX).scalar() for _ in range(8)]
     min_val = mpf("inf")
+    min_lib = mpf("inf")
     worst_delta = mpf(0)
+    worst_gap = mpf(0)
     for tau in taus:
-        res = autissier_integral(tau, 512, CTX)
-        min_val = min(min_val, mpf(res.value))
-        worst_delta = max(worst_delta, mpf(res.grid_delta))
-    r1 = autissier_integral(mpc(0, 1), 128, CTX, section_scale=1.0)
-    r2 = autissier_integral(mpc(0, 1), 128, CTX, section_scale=5.5)
+        quad = autissier_quadrature(complex(tau), 512)
+        lib = autissier_integral(tau, ctx=CTX).value
+        min_val = min(min_val, mpf(quad.value))
+        min_lib = min(min_lib, lib)
+        worst_delta = max(worst_delta, mpf(quad.grid_delta))
+        worst_gap = max(worst_gap, abs(lib - quad.value) / quad.grid_delta)
+    r1 = autissier_quadrature(1j, 128, section_scale=1.0)
+    r2 = autissier_quadrature(1j, 128, section_scale=5.5)
     scale_dev = abs(mpf(r1.value) - mpf(r2.value))
     ok = bool(min_val >= mpf("-1e-6") and worst_delta < mpf("1e-3")
-              and scale_dev < mpf("1e-9"))
+              and scale_dev < mpf("1e-9") and min_lib >= 0 and worst_gap <= 1)
     report(11, ok, f"I(tau) >= -1e-6 on 10 tau at grid 512 (min {mp.nstr(min_val, 6)}), "
-                   f"doubling delta {mp.nstr(worst_delta, 3)}, scale dev {mp.nstr(scale_dev, 3)}")
+                   f"doubling delta {mp.nstr(worst_delta, 3)}, scale dev {mp.nstr(scale_dev, 3)}; "
+                   f"alpha/2 >= 0 (min {mp.nstr(min_lib, 6)}), "
+                   f"|alpha/2 - quadrature| <= {mp.nstr(worst_gap, 3)} x doubling delta")
     assert ok

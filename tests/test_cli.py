@@ -142,9 +142,14 @@ def test_check_matrix_lemma(tmp_path):
 
 
 def test_check_autissier(tmp_path):
-    code, doc = run_json(["check", "autissier", "--grid", "64"], tmp_path)
+    code, doc = run_json(["check", "autissier", "--prec", "96", "--verify"], tmp_path)
     assert code == 0
     assert doc["nonnegative"] is True
+    assert doc["warnings"] == []
+    # eta(i) = Gamma(1/4) / (2 pi^(3/4)), so I(i) = -log eta(i) - (1/4) log 2
+    closed = -mp.log(mp.gamma(mpf(1) / 4) / (2 * mp.pi ** (mpf(3) / 4))) - mp.log(2) / 4
+    assert abs(mpf(doc["value"]) - closed) < mpf(2) ** -90
+    assert mpf(doc["verify"]["max_delta"]) < mpf(2) ** -96
 
 
 def test_determinism_byte_identical(tmp_path):

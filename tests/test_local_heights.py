@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from autissier_quadrature import autissier_quadrature, theta_norm_grid
 from thetaheights.elliptic import point_add, point_neg
 from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
     _kummer_double,
     _kummer_line,
     _kummer_read_back,
-    _theta_norm_grid,
     alpha_arch,
     alpha_finite,
     autissier_integral,
@@ -450,7 +450,7 @@ def test_theta_norm_grid_matches_jtheta():
     # against the classical series theta_3(pi z, e^{pi i tau}) of mpmath
     n = 6
     for tau_c in (1j, complex(0.5, 0.87), complex(-0.31, 0.93), complex(0.2, 4.5)):
-        grid = _theta_norm_grid(tau_c, n)
+        grid = theta_norm_grid(tau_c, n)
         y = tau_c.imag
         with mp.workprec(80):
             q = mp.expjpi(mpc(tau_c))
@@ -463,24 +463,28 @@ def test_theta_norm_grid_matches_jtheta():
 
 
 def test_autissier_positive_at_sample_points(ctx):
+    # alpha / 2 from the eta product against the quadrature of the theta norm
     for tau in (mpc(0, 1), mpc(mpf(1) / 2, mp.sqrt(3) / 2), mpc("0.3", "1.7")):
-        res = autissier_integral(tau, 256, ctx)
-        assert res.value >= -1e-6
+        res = autissier_integral(tau, ctx=ctx)
+        quad = autissier_quadrature(complex(tau), 256)
+        assert quad.value >= -1e-6
+        assert res.value >= 0
+        assert abs(res.value - quad.value) <= quad.grid_delta
 
 
-def test_autissier_scaling_invariance(ctx):
-    r1 = autissier_integral(mpc(0, 1), 128, ctx, section_scale=1.0)
-    r2 = autissier_integral(mpc(0, 1), 128, ctx, section_scale=7.3)
+def test_autissier_scaling_invariance():
+    r1 = autissier_quadrature(1j, 128, section_scale=1.0)
+    r2 = autissier_quadrature(1j, 128, section_scale=7.3)
     assert abs(r1.value - r2.value) < 1e-9
 
 
-def test_autissier_grid_doubling_delta(ctx):
-    r = autissier_integral(mpc(0, 1), 512, ctx)
+def test_autissier_grid_doubling_delta():
+    r = autissier_quadrature(1j, 512)
     assert r.grid_delta < 1e-3
 
 
-def test_autissier_divisor_node_perturbation(ctx):
-    res = autissier_integral(mpc(0, 1), 65, ctx)
+def test_autissier_divisor_node_perturbation():
+    res = autissier_quadrature(1j, 65)
     assert res.perturbed_nodes == 1
     assert res.warnings
     assert math.isfinite(res.value)

@@ -393,6 +393,32 @@ def test_siegel_matrix_validation(ctx):
         as_siegel([[mpc(0, 2), mpc(0, "1.9")], [mpc(0, "1.9"), mpc(0, 2)]], g=1, ctx=ctx)
 
 
+def test_min_imag_eigenvalue_matches_numpy_eigvalsh(ctx):
+    import numpy as np
+
+    def numpy_least(tau):
+        Y = [[float(tau[i, j].imag) for j in range(tau.g)] for i in range(tau.g)]
+        return float(np.linalg.eigvalsh(np.array(Y))[0])
+
+    rng = random.Random(17)
+    taus = [random_reduced_tau(2, rng, ctx) for _ in range(200)]
+    for _ in range(50):
+        # Im tau = A A^T + I / 5 is symmetric positive definite
+        A = [[rng.uniform(-1, 1) for _ in range(3)] for _ in range(3)]
+        rows = [[mpc(rng.uniform(-0.5, 0.5) if i <= j else 0,
+                     sum(A[i][k] * A[j][k] for k in range(3)) + (0.2 if i == j else 0))
+                 for j in range(3)] for i in range(3)]
+        for i in range(3):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+        taus.append(SiegelMatrix.from_rows(rows, ctx))
+    for tau in taus:
+        want = numpy_least(tau)
+        assert abs(tau.min_imag_eigenvalue() - want) <= 1e-12 * want
+    for t in (mpc(0, 1), mpc("0.3", "1.7"), mpc("-0.41", "0.93")):
+        assert SiegelMatrix.from_scalar(t, ctx).min_imag_eigenvalue() == float(t.imag)
+
+
 def test_characteristic_parity():
     assert char(HALF, HALF).parity() == 1
     assert char(HALF, 0).parity() == 0
