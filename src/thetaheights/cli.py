@@ -2,8 +2,8 @@
 
 Prints a human-readable table to stdout followed by (or, with --out, instead
 writing to a file) a deterministic JSON document.  High-precision values are
-emitted as decimal strings with a fixed number of significant digits so that
-identical argv + seed give byte-identical JSON.
+emitted as decimal strings with min(30, floor(bits log10 2)) significant
+digits so that identical argv + seed give byte-identical JSON.
 
 Exit codes: 0 success, 2 parse error, 3 domain/precondition error,
 4 numeric or resource error.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -233,11 +234,10 @@ def _cmd_elliptic_decompose(args, ctx):
             row = {"place": pl.label(), "d_v": pl.d_v, "alpha": comp["alpha"],
                    "lambda": None, "mu": None, "beta": None}
             if pl.kind == "arch":
-                per = elliptic.periods_agm(elliptic.minimal_model_q(E)[0], ctx)
-                t = per.tau.scalar()
-                z0 = mpc(mpf(23) / 100, mpf(31) / 100) + t / 7
-                mu = local_heights.mu_arch_closed(z0, per.tau, ctx)
-                be = local_heights.beta_arch(z0, per.tau, 2, ctx)
+                tau = bd.extras["tau"]
+                z0 = mpc(mpf(23) / 100, mpf(31) / 100) + tau.scalar() / 7
+                mu = local_heights.mu_arch_closed(z0, tau, ctx)
+                be = local_heights.beta_arch(z0, tau, 2, ctx)
                 row["mu"] = mu
                 row["beta"] = be
             places.append(row)
@@ -482,7 +482,7 @@ def run(argv) -> int:
 
     doc_out = {"command": f"{args.group} {args.cmd}", "precision_bits": ctx.bits}
     with ctx.workprec():     # mpf(x) in _fmt must not round to 53 bits
-        doc_out.update(_fmt(doc))
+        doc_out.update(_fmt(doc, min(JSON_DIGITS, int(ctx.bits * math.log10(2)))))
     if "warnings" not in doc_out:
         doc_out["warnings"] = []
     text = json.dumps(doc_out, sort_keys=True, separators=(",", ":")) + "\n"

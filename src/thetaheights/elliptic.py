@@ -8,17 +8,17 @@ long Weierstrass model (a1, a2, a3, a4, a6) = (Q1, P2, Q0, P1, P0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, NumericError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .siegel import reduce_g1
 from .theta_engine import SiegelMatrix, jacobi_thetas, modular_discriminant
-from .weierstrass import WeierstrassEquation, discriminant, finite_valuations
+from .weierstrass import WeierstrassEquation, _factorint, discriminant, finite_valuations
 
 # --- invariants ---------------------------------------------------------
 
@@ -172,9 +172,7 @@ def minimal_model_q(E: WeierstrassEquation) -> tuple:
     c4, c6 = c_invariants(E)
     # clear denominators: enlarge by u = 1/p per prime of the denominators
     m = 1
-    den = sympy.ilcm(c4.denominator, c6.denominator)
-    for p in sympy.factorint(den):
-        p = int(p)
+    for p in _factorint(math.lcm(c4.denominator, c6.denominator)):
         e = max(-(-_val(c4.denominator, p) // 4), -(-_val(c6.denominator, p) // 6))
         m *= p ** e
     c4i = int(c4 * m ** 4)
@@ -196,13 +194,7 @@ def minimal_model_q(E: WeierstrassEquation) -> tuple:
     else:
         raise NumericError("could not reach an integral model (internal error)")
     # strip u = p while an integral model survives
-    if c4i == 0:
-        candidates = sympy.factorint(abs(c6i)).keys()
-    elif c6i == 0:
-        candidates = sympy.factorint(abs(c4i)).keys()
-    else:
-        candidates = sympy.factorint(sympy.igcd(abs(c4i), abs(c6i))).keys()
-    for p in sorted(int(p) for p in candidates):
+    for p in sorted(_factorint(math.gcd(c4i, c6i))):
         while (_val(c4i, p) >= 4 and _val(c6i, p) >= 6
                and _valid_pair(c4i // p ** 4, c6i // p ** 6)):
             c4i //= p ** 4
@@ -266,26 +258,18 @@ def periods_agm(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CTX) -> 
 # --- Faltings height (Silverman's formula) --------------------------------
 
 
-def stable_finite_exponents(E: WeierstrassEquation) -> tuple:
-    """[(p, e_p)] with e_p = max(0, -ord_p(j)): finite data of the stable model.
+def stable_finite_exponents(j: Fraction, valuations) -> tuple:
+    """[(p, e_p)] with e_p = max(0, -ord_p(j)) over the primes of
+    valuations = finite_valuations(Delta_min): finite data of the stable model.
 
     Also returns whether E/Q is semistable everywhere (e_p = ord_p(Delta_min));
     j = 0 has potentially good reduction at every prime, so all e_p = 0.
     """
-    Emin, dmin = minimal_model_q(E)
-    j = j_invariant(Emin)
     out = []
-    semistable = True
-    for p, e in finite_valuations(dmin):
-        if j == 0:
-            stable_e = 0
-        else:
-            jv = _val(j.numerator, p) - _val(j.denominator, p)
-            stable_e = max(0, -jv)
-        if stable_e != e:
-            semistable = False
-        out.append((p, stable_e))
-    return out, semistable
+    for p, _ in valuations:
+        jv = _val(j.numerator, p) - _val(j.denominator, p)
+        out.append((p, max(0, -jv) if j else 0))
+    return out, out == list(valuations)
 
 
 def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CTX,
@@ -298,11 +282,12 @@ def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CT
     With stable=True the finite exponents are replaced by the stable-model
     exponents max(0, -ord_p(j)) (= ord_p(D_min) exactly when E is semistable).
     Non-semistable input draws a warning either way; the formula's hypotheses
-    assume semistable reduction.
+    assume semistable reduction.  The breakdown's extras hold the reduced
+    period ratio ("tau") of the minimal model.
 
     Returns (h, HeightBreakdown).
     """
-    from .local_heights import HeightBreakdown, Place, alpha_arch, alpha_finite
+    from .local_heights import HeightBreakdown, Place, alpha_arch
 
     if E.g != 1:
         raise DomainError("faltings_elliptic is genus-1 only")
@@ -311,20 +296,16 @@ def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CT
     if (Emin.P, Emin.Q) != (E.P, E.Q):
         warnings.append("input model was not minimal; minimized internally")
     per = periods_agm(Emin, ctx)
-    stable_exps, semistable = stable_finite_exponents(E)
+    valuations = finite_valuations(dmin)
+    stable_exps, semistable = stable_finite_exponents(j_invariant(Emin), valuations)
     if not semistable:
         warnings.append(
             "curve is not semistable over Q; the differential-height formula assumes "
             "semistable reduction" + (" (stable exponents substituted)" if stable else ""))
+    exps = stable_exps if stable else valuations
     with ctx.workprec():
-        entries = []
-        if stable:
-            for p, e in stable_exps:
-                if e:
-                    entries.append((Place.finite(p), {"alpha": e * mp.log(p) / 12}))
-        else:
-            for p, _ in finite_valuations(dmin):
-                entries.append((Place.finite(p), {"alpha": alpha_finite(dmin, p, ctx)}))
+        # alpha_p = (1/12) e_p log p; valuations carry no zero exponents
+        entries = [(Place.finite(p), {"alpha": e * mp.log(p) / 12}) for p, e in exps if e]
         a_inf = alpha_arch(per.tau, ctx)
         entries.append((Place.archimedean(), {"alpha": a_inf}))
         # the literal Thm 1.1 expression, kept as an independent route from
@@ -337,7 +318,8 @@ def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CT
             log_dmin = mp.log(abs(dmin))
         h = (log_dmin - mp.log((2 * mp.pi) ** 12 * abs(delta) * t.imag ** 6)) / 12 \
             + mp.log(2 * mp.pi ** 2) / 2
-        breakdown = HeightBreakdown.assemble(entries, warnings=tuple(warnings))
+        breakdown = HeightBreakdown.assemble(entries, warnings=tuple(warnings),
+                                             extras={"tau": per.tau})
         return h, breakdown
 
 

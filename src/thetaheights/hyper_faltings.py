@@ -13,13 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
 from mpmath import mp, mpf
 
 from .errors import DomainError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .theta_engine import SiegelMatrix, as_siegel, phi_product
-from .weierstrass import WeierstrassEquation, discriminant
+from .weierstrass import WeierstrassEquation, _isprime, discriminant
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,7 @@ class FinitePlaceInput:
     e: int = 0
 
     def f_value(self, g: int) -> Fraction:
-        if not sympy.isprime(self.p):
+        if not _isprime(self.p):
             raise DomainError(f"{self.p} is not prime")
         if self.ord_delta_min < 0 or self.e < 0:
             raise DomainError("ord_p(Delta_min) and e_p must be nonnegative")

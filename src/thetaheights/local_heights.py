@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
 from mpmath import mp, mpc, mpf
 
 from .errors import DomainError, NumericError, OrbitCollisionError
@@ -47,7 +46,7 @@ from .precision import DEFAULT_CTX, PrecisionContext
 from .siegel import reduce_g1
 from .theta_engine import (MIN_IMAG_EIGENVALUE, SiegelMatrix, _fixed, _fmul, as_siegel,
                            jacobi_thetas, modular_discriminant, theta_norm)
-from .weierstrass import WeierstrassEquation, finite_valuations
+from .weierstrass import WeierstrassEquation, _isprime, finite_valuations
 
 
 # --- places and breakdowns ------------------------------------------------
@@ -391,7 +390,7 @@ def alpha_arch(tau, ctx: PrecisionContext = DEFAULT_CTX,
 
 def alpha_finite(delta_min, p: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """alpha_p = (1/12) ord_p(Delta_min) log p; zero at good-reduction primes."""
-    if not sympy.isprime(p):
+    if not _isprime(p):
         raise DomainError(f"{p} is not prime")
     d = int(delta_min)
     if d == 0:
@@ -421,10 +420,7 @@ def _integralize(E: WeierstrassEquation, P) -> tuple:
     from .elliptic import a_invariants, curve_from_a_invariants
 
     a = a_invariants(E)
-    m = 1
-    for i, ai in zip((1, 2, 3, 4, 6), a):
-        m = sympy.ilcm(m, ai.denominator)
-    m = int(m)
+    m = math.lcm(*(ai.denominator for ai in a))
     a_new = [ai * Fraction(m) ** i for i, ai in zip((1, 2, 3, 4, 6), a)]
     E_int = curve_from_a_invariants(*a_new)
     x, y = Fraction(P[0]), Fraction(P[1])

@@ -1,7 +1,8 @@
 """Exact hyperelliptic Weierstrass equations y^2 + Q(x) y = P(x).
 
 P monic of degree 2g+1, deg Q <= g, coefficients exact rationals.  All
-arithmetic here is exact; floating point never enters this module.
+arithmetic here is exact; floating point never enters this module.  It is the
+library's one sympy boundary: only _factorint and _isprime import it, on use.
 """
 
 from __future__ import annotations
@@ -13,37 +14,60 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .errors import (DomainError, MalformedChangeError, NumericError, ResourceError,
                      SingularModelError)
 from .theta_engine import ThetaCharacteristic
-
-_X = sympy.Symbol("x")
 
 # digit budget for discriminant factorization; curves in scope are tiny
 FACTOR_DIGIT_BUDGET = 70
 
 
-def _poly_from_coeffs(coeffs: Sequence[Fraction]):
-    """sympy Poly from low-to-high coefficient list."""
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)] or [0], _X)
+def _factorint(n: int) -> dict:
+    """{p: ord_p(n)} for an integer n >= 1, by sympy's factorint (ECM)."""
+    from sympy import factorint
+    return {int(p): e for p, e in factorint(n).items()}
+
+
+def _isprime(p: int) -> bool:
+    from sympy import isprime
+    return isprime(p)
 
 
 def _coeffs_to_fractions(coeffs) -> tuple:
     return tuple(Fraction(c) for c in coeffs)
 
 
+def _bareiss_det(M: list) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if r is None:
+                return 0
+            M[k], M[r], sign = M[r], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
 def poly_discriminant(coeffs: Sequence[Fraction]) -> Fraction:
-    """disc(f) = (-1)^{d(d-1)/2} Res(f, f') / lc(f) for f given low-to-high."""
-    f = _poly_from_coeffs(coeffs)
-    d = f.degree()
+    """disc(f) = (-1)^{d(d-1)/2} Res(f, f') / lc(f) for f given low-to-high;
+    Res is the Sylvester determinant of F = L f, L the lcm of denominators."""
+    c = list(_coeffs_to_fractions(coeffs))
+    while c and c[-1] == 0:
+        c.pop()
+    d = len(c) - 1
     if d < 1:
         raise DomainError("discriminant needs degree >= 1")
-    res = sympy.resultant(f.as_expr(), f.diff(_X).as_expr(), _X)
-    lc = f.LC()
-    val = sympy.Rational((-1) ** (d * (d - 1) // 2)) * res / lc
-    return Fraction(sympy.Integer(val.p), sympy.Integer(val.q))
+    L = math.lcm(*(x.denominator for x in c))
+    F = [int(x * L) for x in reversed(c)]                 # high-to-low
+    dF = [(d - i) * a for i, a in enumerate(F[:-1])]
+    rows = [[0] * i + F + [0] * (d - 2 - i) for i in range(d - 1)]
+    rows += [[0] * i + dF + [0] * (d - 1 - i) for i in range(d)]
+    return Fraction((-1) ** (d * (d - 1) // 2) * _bareiss_det(rows), F[0] * L ** (2 * d - 2))
 
 
 @dataclass(frozen=True)
@@ -231,11 +255,9 @@ def finite_valuations(delta) -> list:
     den = d.denominator
     if len(str(num)) > FACTOR_DIGIT_BUDGET or len(str(den)) > FACTOR_DIGIT_BUDGET:
         raise ResourceError("discriminant exceeds the factorization digit budget")
-    vals = {}
-    for p, e in sympy.factorint(num).items():
-        vals[int(p)] = vals.get(int(p), 0) + e
-    for p, e in sympy.factorint(den).items():
-        vals[int(p)] = vals.get(int(p), 0) - e
+    vals = _factorint(num)
+    for p, e in _factorint(den).items():
+        vals[p] = vals.get(p, 0) - e
     return sorted((p, e) for p, e in vals.items() if e != 0)
 
 

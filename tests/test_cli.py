@@ -152,6 +152,15 @@ def test_check_autissier(tmp_path):
     assert mpf(doc["verify"]["max_delta"]) < mpf(2) ** -96
 
 
+def test_no_digits_beyond_prec(tmp_path):
+    # 64 bits carry floor(64 log10 2) = 19 significant digits
+    code, doc = run_json(["check", "autissier", "--prec", "64"], tmp_path)
+    assert code == 0
+    assert len(doc["value"].replace(".", "").lstrip("0")) <= 19
+    closed = -mp.log(mp.gamma(mpf(1) / 4) / (2 * mp.pi ** (mpf(3) / 4))) - mp.log(2) / 4
+    assert abs(mpf(doc["value"]) - closed) < mpf(2) ** -64
+
+
 def test_determinism_byte_identical(tmp_path):
     args = ["check", "identities", "--seed", "7", "--samples", "4", "--prec", "96"]
     run(args + ["--out", str(tmp_path / "a.json")])

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from thetaheights import cli, elliptic, weierstrass
 from thetaheights.errors import DomainError
 from thetaheights.elliptic import (
     a_invariants,
@@ -15,6 +16,7 @@ from thetaheights.elliptic import (
     chowla_selberg,
     curve_from_a_invariants,
     faltings_elliptic,
+    j_invariant,
     kronecker_symbol,
     minimal_model_q,
     periods_agm,
@@ -28,12 +30,14 @@ from thetaheights.weierstrass import (
     WeierstrassEquation,
     apply_model_change,
     discriminant,
+    finite_valuations,
 )
 
 E_CM27 = WeierstrassEquation.make(1, [0, 0, 0, 1], [1])        # y^2 + y = x^3
 E_X316 = WeierstrassEquation.make(1, [16, 0, 0, 1], [])       # y^2 = x^3 + 16
 E_LEMN = WeierstrassEquation.make(1, [0, -1, 0, 1], [])       # y^2 = x^3 - x
 E_37A = WeierstrassEquation.make(1, [0, -1, 0, 1], [1])       # y^2 + y = x^3 - x
+E_5077A = WeierstrassEquation.make(1, [6, -7, 0, 1], [1])     # y^2 + y = x^3 - 7x + 6
 
 # frozen from two independent evaluation routes (Chowla-Selberg and the
 # stable differential-height formula), which agree to 5e-51
@@ -211,12 +215,47 @@ def test_faltings_semistable_has_no_warning(ctx):
 
 
 def test_stable_exponents():
-    exps, semi = stable_finite_exponents(E_CM27)
+    def stable(E):
+        Emin, dmin = minimal_model_q(E)
+        return stable_finite_exponents(j_invariant(Emin), finite_valuations(dmin))
+
+    exps, semi = stable(E_CM27)
     assert exps == [(3, 0)] and not semi
-    exps, semi = stable_finite_exponents(E_37A)
+    exps, semi = stable(E_37A)
     assert exps == [(37, 1)] and semi
-    exps, semi = stable_finite_exponents(E_LEMN)   # Delta = 64, j = 1728
+    exps, semi = stable(E_LEMN)   # Delta = 64, j = 1728
     assert exps == [(2, 0)] and not semi
+
+
+def _count_calls(monkeypatch, module, name, log):
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append((name, args[0]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_curve_data_computed_once(monkeypatch, tmp_path, ctx):
+    # the minimal model, the factorisation of |Delta_min| and the period
+    # lattice are each computed once per curve, in the library and the CLI
+    log = []
+    for module, name in [(elliptic, "minimal_model_q"), (elliptic, "periods_agm"),
+                         (weierstrass, "_factorint"), (elliptic, "_factorint")]:
+        _count_calls(monkeypatch, module, name, log)
+    dmin = 5077
+    faltings_elliptic(E_5077A, ctx)
+    assert [n for n, _ in log].count("minimal_model_q") == 1
+    assert log.count(("_factorint", dmin)) == 1
+    log.clear()
+    curve = '{"genus":1,"P":["6","-7","0","1"],"Q":["1"]}'
+    assert cli.run(["elliptic", "decompose", "--curve", curve,
+                    "--out", str(tmp_path / "d.json")]) == 0
+    names = [n for n, _ in log]
+    assert names.count("minimal_model_q") == 1
+    assert names.count("periods_agm") == 1
+    assert log.count(("_factorint", dmin)) == 1
 
 
 # --- Chowla-Selberg ---------------------------------------------------------------

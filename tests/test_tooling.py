@@ -22,11 +22,52 @@ def test_no_assert_in_library():
     assert not offenders, f"assert / AssertionError in the library: {offenders}"
 
 
-def test_import_does_not_load_numpy():
-    # numpy is a test-side oracle only; the library must not pull it in
-    code = "import sys, thetaheights; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+
+
+def test_import_does_not_load_numpy():
+    # numpy is a test-side oracle only, and sympy is imported on first
+    # factorisation or primality test; a bare import pulls in neither
+    code = "import sys, thetaheights; print('numpy' in sys.modules, 'sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_sympy_imported_only_in_weierstrass_helpers():
+    # weierstrass._factorint and weierstrass._isprime are the one sympy boundary
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if not any(m.split(".")[0] == "sympy" for m in modules):
+                continue
+            scope = parent.get(node)
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parent.get(scope)
+            found.append((path.name, getattr(scope, "name", "<module>")))
+    assert found and set(found) <= {("weierstrass.py", "_factorint"),
+                                    ("weierstrass.py", "_isprime")}, found
+
+
+def test_cli_runs_without_sympy():
+    # commands that neither factor nor test primality never import sympy
+    code = ("import sys; sys.modules['sympy'] = None\n"
+            "from thetaheights.cli import run\n"
+            "codes = [run(a) for a in ("
+            "['theta', 'eval', '--a', '0', '--b', '0', '--tau', '[0, 1]'],"
+            "['jacobian', 'faltings', '--cm-quintic'],"
+            "['check', 'autissier'])]\n"
+            "print(codes)")
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0]", out.stderr

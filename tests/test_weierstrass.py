@@ -1,13 +1,16 @@
-"""Exact Weierstrass arithmetic: discriminants against a Sylvester-matrix
-oracle, the transformation law, the characteristic system, valuations."""
+"""Exact Weierstrass arithmetic: discriminants against sympy's subresultant
+resultant and, for g = 1, the b-invariant formula; the transformation law,
+the characteristic system, valuations."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mpc
 
+from thetaheights.elliptic import b_invariants, c_invariants
 from thetaheights.errors import DomainError, ResourceError, SingularModelError
 from thetaheights.theta_engine import ThetaCharacteristic
 from thetaheights.weierstrass import (
@@ -23,82 +26,55 @@ from thetaheights.weierstrass import (
 HALF = Fraction(1, 2)
 
 
-# --- oracle: discriminant via Sylvester determinant (Bareiss) ----------------
-
-
-def bareiss_det(M):
-    """Fraction-exact determinant by Bareiss elimination."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) / prev
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def sylvester_resultant(f, g):
-    """Res(f, g) for coefficient lists given low-to-high."""
-    f = f[::-1]
-    g = g[::-1]
-    m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    M = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(f):
-            M[i][i + j] = Fraction(c)
-    for i in range(m):
-        for j, c in enumerate(g):
-            M[n + i][i + j] = Fraction(c)
-    return bareiss_det(M)
-
-
-def disc_oracle(coeffs):
-    """disc(f) by the resultant of f and f', f monic given low-to-high."""
-    d = len(coeffs) - 1
-    deriv = [coeffs[i] * i for i in range(1, d + 1)]
-    res = sylvester_resultant(coeffs, deriv)
-    return Fraction((-1) ** (d * (d - 1) // 2)) * res / Fraction(coeffs[-1])
+# --- oracles: sympy's subresultant resultant; the b-invariant polynomial ------
 
 
 def curve_disc_oracle(E):
-    return Fraction(2) ** (4 * E.g) * disc_oracle(list(E.rhs_quartic_free()))
+    """2^{4g} (-1)^{d(d-1)/2} Res(f, f') / lc(f) with f = P + Q^2/4, by
+    sympy.resultant (subresultant PRS, not a Sylvester determinant)."""
+    x = sympy.Symbol("x")
+    f = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+            for i, c in enumerate(E.rhs_quartic_free()))
+    d = 2 * E.g + 1
+    res = sympy.resultant(f, sympy.diff(f, x), x) * (-1) ** (d * (d - 1) // 2)
+    res = sympy.Rational(res)
+    return 2 ** (4 * E.g) * Fraction(int(res.p), int(res.q))
+
+
+def b_invariant_disc(E):
+    """Delta = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 (genus 1)."""
+    b2, b4, b6, b8 = b_invariants(E)
+    return -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
 
 
 def test_disc_examples_against_oracle():
     E1 = WeierstrassEquation.make(1, [0, 0, 0, 1], [1])      # y^2 + y = x^3
-    assert discriminant(E1) == curve_disc_oracle(E1) == -27
+    assert discriminant(E1) == curve_disc_oracle(E1) == b_invariant_disc(E1) == -27
     E2 = WeierstrassEquation.make(2, [0, 0, 0, 0, 0, 1], [1])  # y^2 + y = x^5
     assert discriminant(E2) == curve_disc_oracle(E2) == 3125
     E3 = WeierstrassEquation.make(1, [1, 0, 0, 1], [])        # y^2 = x^3 + 1
-    assert discriminant(E3) == curve_disc_oracle(E3) == -432
+    assert discriminant(E3) == curve_disc_oracle(E3) == b_invariant_disc(E3) == -432
 
 
 def test_disc_random_against_oracle():
     rng = random.Random(17)
-    found = 0
-    while found < 20:
-        g = rng.choice([1, 2])
-        P = [Fraction(rng.randint(-5, 5)) for _ in range(2 * g + 1)] + [Fraction(1)]
+    found = {1: 0, 2: 0, 3: 0}
+    while min(found.values()) < 8:
+        g = rng.choice([1, 2, 3])
+        P = [Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+             for _ in range(2 * g + 1)] + [Fraction(1)]
         Q = [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, g + 1))]
         try:
             E = WeierstrassEquation.make(g, P, Q)
         except SingularModelError:
             continue
-        found += 1
-        assert discriminant(E) == curve_disc_oracle(E)
+        found[g] += 1
+        d = discriminant(E)
+        assert d == curve_disc_oracle(E)
+        if g == 1:
+            c4, c6 = c_invariants(E)
+            assert d == b_invariant_disc(E)
+            assert 1728 * d == c4 ** 3 - c6 ** 2
 
 
 def test_transformation_law_examples():
