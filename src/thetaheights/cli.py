@@ -171,7 +171,7 @@ def _cmd_siegel_reduce(args, ctx):
         "reduced": rep.reduced.entries[0][0],
         "gamma": [list(r) for r in rep.gamma],
         "checks": [{"id": c.condition_id, "passed": c.passed, "margin": c.margin}
-                   for c in rep.checks],
+                   for c in siegel.check_reduced(rep.reduced, 1, ctx)],
     }
     table = [f"reduced tau = {mp.nstr(rep.reduced.scalar(), 20)}",
              f"gamma = {rep.gamma}"]
@@ -327,7 +327,7 @@ def _cmd_check_identities(args, ctx):
         worst = mpf(0)
         for _ in range(max(3, args.samples // 4)):
             z = mpc(mpf(rng.randint(-400, 400)) / 1000, mpf(rng.randint(-400, 400)) / 1000)
-            mu = local_heights.mu_arch_series(z, tau, (ctx.bits + 24) // 2, ctx)
+            mu = local_heights.mu_arch_series(z, tau, ctx=ctx)
             be = local_heights.beta_arch(z, tau, 2, ctx)
             worst = max(worst, abs(2 * (be - mu) - alpha))
         suites["alpha_constancy"] = {"worst": worst, "passed": bool(worst < tol * 4096)}

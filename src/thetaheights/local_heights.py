@@ -14,11 +14,11 @@ the telescoped limit -log N(2z) + (1/3) log c from direct theta sums; beta_arch
 reads the same N(2z), so 2(beta - mu_closed) = alpha by algebra, and only the
 orbit series makes the decomposition a check.
 
-The duplication forms are normalized so that the constant in the telescoping
-limit vanishes and alpha matches the differential-height formula place by
-place (the unnormalized variant, matching the classical duplication-formula
-display with G_1 = 2 t1 t2 t3 t4, is off by the constant -(2/3) log 2 and is
-available via normalized=False).
+The duplication forms are normalized (G_1 = t1 t2 t3 t4, c = |t2 t3 t4| / 2 =
+|eta|^3) so that alpha matches the differential-height formula place by place.
+The classical display, with G_1 = 2 t1 t2 t3 t4, doubles every quotient E, so
+its mu exceeds this one by (1/3) log 2 and its alpha falls short by
+(2/3) log 2.
 
 Autissier's integral I = -int log||theta|| dmu + (1/2) log int ||theta||^2 dmu
 is alpha / 2: Faltings' Green function has mean 0, so int log||theta|| dmu =
@@ -104,14 +104,6 @@ def reduce_point_mod_lattice(z, tau, ctx: PrecisionContext = DEFAULT_CTX):
         return z
 
 
-def _abs2(x) -> mpf:
-    return x.real ** 2 + x.imag ** 2
-
-
-def _l2(v) -> mpf:
-    return mp.sqrt(mp.fsum(_abs2(x) for x in v))
-
-
 def _normalized_vector_norm(w, tau, ctx: PrecisionContext) -> mpf:
     """N(w) = e^{-pi Im(w)^2 / Im tau} * l2-norm of (t1..t4)(w, tau).
 
@@ -121,21 +113,17 @@ def _normalized_vector_norm(w, tau, ctx: PrecisionContext) -> mpf:
     t = as_siegel(tau, g=1, ctx=ctx).scalar()
     ths = jacobi_thetas(w, t, ctx)
     with ctx.workprec():
-        return mp.exp(-mp.pi * mpc(w).imag ** 2 / t.imag) * _l2(ths)
+        l2 = mp.sqrt(mp.fsum(x.real ** 2 + x.imag ** 2 for x in ths))
+        return mp.exp(-mp.pi * mpc(w).imag ** 2 / t.imag) * l2
 
 
-def _theta_nulls(tau, ctx: PrecisionContext) -> tuple:
-    """(t2, t3, t4)(0, tau); t1 vanishes at the origin."""
-    return jacobi_thetas(0, tau, ctx)[1:]
-
-
-def _form_constant(nulls, normalized: bool) -> mpf:
+def _form_constant(nulls) -> mpf:
+    """c = |t2 t3 t4| / 2 = |eta|^3 of the normalized duplication forms."""
     t2, t3, t4 = nulls
-    c = abs(t2 * t3 * t4)
-    return c / 2 if normalized else c
+    return abs(t2 * t3 * t4) / 2
 
 
-def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext, normalized: bool) -> list:
+def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> list:
     """E at w, 2w, ..., 2^{n_terms-1} w from one theta evaluation at w.
 
     E(w) = c ||T(2w)|| / ||T(w)||^4 is homogeneous of degree 4 over degree 4,
@@ -197,10 +185,10 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext, normalized: 
         j = gc * t + gd
         tau = SiegelMatrix.from_scalar((ga * t + gb) / j, hi)
         w = mpc(w) / j
-    nulls = _theta_nulls(tau, hi)
+    nulls = jacobi_thetas(0, tau, hi)[1:]
     ths = jacobi_thetas(reduce_point_mod_lattice(w, tau, hi), tau, hi)
     with hi.workprec():
-        form = _form_constant(nulls, normalized)
+        form = _form_constant(nulls)
         line = _kummer_line(nulls, prec)
         pts = [v * v for v in ths]
         size = mp.fsum(abs(v) for v in pts)
@@ -248,20 +236,6 @@ def _kummer_double(X, Y, A, line, prec: int) -> tuple:
     return _fmul(line[4], _fmul(u, u, prec), prec), _fmul(line[5], _fmul(v, v, prec), prec)
 
 
-def duplication_quotient(w, tau, ctx: PrecisionContext = DEFAULT_CTX,
-                         normalized: bool = True) -> mpf:
-    """The scale- and lattice-invariant quotient E(w) of the duplication forms.
-
-    E(w) = c * N(2w) / N(w)^4 with c = |t2 t3 t4| for the classical forms
-    (G_1 = 2 t1 t2 t3 t4, ...) and c = |t2 t3 t4| / 2 = |eta(tau)|^3 for the
-    normalized forms used by the alpha decomposition.  Homogeneity of degree
-    4 over degree 4 makes E independent of the coordinate scaling, so the
-    theta coordinates at 2w come from those at w through the duplication
-    quartics.
-    """
-    return _duplication_orbit(w, tau, 1, ctx, normalized)[0]
-
-
 def prop_envelope(tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
     """Loose uniform bounds (lower, upper) for the classical quotient E.
 
@@ -285,25 +259,15 @@ def prop_envelope(tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
         return lower, upper
 
 
-def mu_arch_terms(z, tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX,
-                  normalized: bool = True) -> list:
+def mu_arch_terms(z, tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> list:
     """The first n_terms values E([2^n] P), n = 0, 1, ..., with P at w = 2z.
 
-    The Jacobi thetas are evaluated once, at the lattice-reduced 2z; every
-    later point of the orbit comes from the previous one through the squared
-    duplication quartics on the Kummer line (t3^2 : t4^2) (see
-    _duplication_orbit).
-
-    Why rounding stays bounded: the Kummer line is P^1, so a rounded point is
-    still a point of the curve, at a w off by the rounding times the
-    distortion of the Kummer coordinate.  The map is the doubling: an error
-    injected at step k grows like 2^{n-k} by step n, while term n is weighted
-    by 4^{-n-1}, so the sum loses only that distortion, about
-    pi Im tau / log 2 bits at the reduced tau, which the extra bits of the
-    walk cover.
+    The Jacobi thetas are evaluated once, at the lattice-reduced 2z, and the
+    orbit walks the Kummer line (t3^2 : t4^2); see _duplication_orbit for the
+    steps and the precision they need.
     """
     with ctx.workprec():
-        return _duplication_orbit(2 * mpc(z), tau, n_terms, ctx, normalized)
+        return _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
 
 
 def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
@@ -314,28 +278,33 @@ def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf
         return mpf(4) ** (-n_terms) * B / 3
 
 
-def mu_arch_series(z, tau, n_terms: int = 40, ctx: PrecisionContext = DEFAULT_CTX,
-                   normalized: bool = True) -> mpf:
-    """Partial sum of mu(P) = sum 4^{-n-1} log E([2^n] P)."""
-    terms = mu_arch_terms(z, tau, n_terms, ctx, normalized)
+def mu_arch_series(z, tau, n_terms: int | None = None,
+                   ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
+    """Partial sum of mu(P) = sum 4^{-n-1} log E([2^n] P).
+
+    n_terms defaults to (bits + 24) // 2: 4^-n_terms <= 2^-(bits+23) puts
+    mu_tail_bound below 1e-5 2^-bits for Im tau up to 200 at 64-256 bits.
+    """
+    if n_terms is None:
+        n_terms = (ctx.bits + 24) // 2
+    terms = mu_arch_terms(z, tau, n_terms, ctx)
     with ctx.workprec():
         return mp.fsum(mp.log(E) / mpf(4) ** (n + 1) for n, E in enumerate(terms))
 
 
-def mu_arch_closed(z, tau, ctx: PrecisionContext = DEFAULT_CTX,
-                   normalized: bool = True) -> mpf:
+def mu_arch_closed(z, tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Closed form of the mu-series: (1/3) log c - log N(2z).
 
-    c is the duplication-form constant (|t2 t3 t4|, halved when normalized)
-    and N the lattice-invariant l2-norm of the four theta coordinates.
+    c = |t2 t3 t4| / 2 is the duplication-form constant and N the
+    lattice-invariant l2-norm of the four theta coordinates.
     beta_arch reads the same N(2z), so 2(beta - mu_closed) = alpha holds by
     algebra whatever the theta sums return; only mu_arch_series, which walks
     the orbit, makes the decomposition a real check.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
-    nulls = _theta_nulls(tau, ctx)
+    nulls = jacobi_thetas(0, tau, ctx)[1:]
     with ctx.workprec():
-        c = _form_constant(nulls, normalized)
+        c = _form_constant(nulls)
         w = reduce_point_mod_lattice(2 * mpc(z), tau, ctx)
         return mp.log(c) / 3 - mp.log(_normalized_vector_norm(w, tau, ctx))
 
@@ -365,33 +334,28 @@ def beta_arch(z, tau, r: int = 2, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
         return -mp.log(mp.sqrt(2) * tot) / 2
 
 
-def alpha_arch(tau, ctx: PrecisionContext = DEFAULT_CTX,
-               verify_decomposition: bool = False) -> mpf:
+def alpha_arch(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """alpha = -(1/12) log(|Delta(tau)| (2 Im tau)^6) at the archimedean place.
 
     SL2(Z)-invariant; evaluated on the reduced representative for
-    conditioning.  With verify_decomposition=True the identity
-    alpha = 2(beta - mu) is checked at a fixed generic point.
+    conditioning.
     """
     tau = as_siegel(tau, g=1, ctx=ctx)
     red = reduce_g1(tau, ctx).reduced
     with ctx.workprec():
         t = red.scalar()
-        val = -(mp.log(abs(modular_discriminant(red, ctx))) + 6 * mp.log(2 * t.imag)) / 12
-        if verify_decomposition:
-            z0 = mpc(mpf(23) / 100, mpf(31) / 100) + mpf(1) / 7 * t
-            n_terms = (ctx.bits + 24) // 2
-            mu = mu_arch_series(z0, red, n_terms, ctx)
-            be = beta_arch(z0, red, 2, ctx)
-            if abs(2 * (be - mu) - val) > ctx.tol() * 256 + mu_tail_bound(red, n_terms, ctx) * 2:
-                raise NumericError("alpha decomposition self-check failed")
-        return +val
+        return -(mp.log(abs(modular_discriminant(red, ctx))) + 6 * mp.log(2 * t.imag)) / 12
 
 
 def alpha_finite(delta_min, p: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """alpha_p = (1/12) ord_p(Delta_min) log p; zero at good-reduction primes."""
+    """alpha_p = (1/12) ord_p(Delta_min) log p; zero at good-reduction primes.
+
+    A Delta_min of non-integral value is refused, not truncated.
+    """
     if not _isprime(p):
         raise DomainError(f"{p} is not prime")
+    if not isinstance(delta_min, (int, float, Fraction, mpf)) or delta_min % 1:
+        raise DomainError(f"Delta_min must be an integer, got {delta_min!r}")
     d = int(delta_min)
     if d == 0:
         raise DomainError("Delta_min must be nonzero")

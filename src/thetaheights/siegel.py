@@ -30,10 +30,8 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    tau: SiegelMatrix
     reduced: SiegelMatrix
     gamma: tuple  # 2g x 2g integer matrix, rows of tuples
-    checks: tuple
 
 
 def _sp_check(gamma: Sequence[Sequence[int]]) -> bool:
@@ -53,14 +51,14 @@ def _sp_check(gamma: Sequence[Sequence[int]]) -> bool:
 def reduce_g1(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ReductionReport:
     """Reduce a g=1 period point into |Re tau| <= 1/2, |tau| >= 1.
 
-    Boundary ties are normalized to Re >= 0, so the corner orbit lands on
-    (1 + i sqrt 3)/2 and the unit-circle arc on its right half.
+    Returns only the reduced tau and gamma in SL2(Z), checked to map tau to
+    it; check_reduced runs the condition battery.  Boundary ties are
+    normalized to Re >= 0, so the corner orbit lands on (1 + i sqrt 3)/2 and
+    the unit-circle arc on its right half.
     """
-    tau_in = as_siegel(tau, g=1, ctx=ctx)
+    t0 = as_siegel(tau, g=1, ctx=ctx).scalar()
     with ctx.workprec():
-        t = tau_in.scalar()
-        if t.imag <= 0:
-            raise DomainError("Im(tau) must be positive")
+        t = t0
         tol = ctx.tol()
         # accumulated [[a, b], [c, d]] acting as t -> (a t + b)/(c t + d);
         # each move left-multiplies: T^n gives (a,b) += n (c,d), S swaps rows
@@ -87,12 +85,9 @@ def reduce_g1(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ReductionReport:
         gamma = ((a, b), (c, d))
         if not _sp_check(gamma):
             raise NumericError("recorded gamma is not in SL2(Z) (internal error)")
-        t0 = tau_in.scalar()
-        if abs((a * t0 + b) / (c * t0 + d) - t) > ctx.tol() * 16 * max(1, abs(t)):
+        if abs((a * t0 + b) / (c * t0 + d) - t) > tol * 16 * max(1, abs(t)):
             raise NumericError("recorded gamma does not reproduce the reduction")
-        reduced = SiegelMatrix.from_scalar(t, ctx)
-        checks = tuple(check_reduced(reduced, 1, ctx))
-        return ReductionReport(tau=tau_in, reduced=reduced, gamma=gamma, checks=checks)
+        return ReductionReport(reduced=SiegelMatrix.from_scalar(t, ctx), gamma=gamma)
 
 
 def apply_symplectic(gamma: Sequence[Sequence[int]], tau, ctx: PrecisionContext = DEFAULT_CTX) -> SiegelMatrix:
@@ -178,10 +173,6 @@ def check_reduced(tau, g: int | None = None, ctx: PrecisionContext = DEFAULT_CTX
     return results
 
 
-def all_checks_pass(checks) -> bool:
-    return all(c.passed for c in checks)
-
-
 @dataclass(frozen=True)
 class ThetaNullBoundsReport:
     max_null: mpf
@@ -203,7 +194,7 @@ def theta_null_bounds(tau, ctx: PrecisionContext = DEFAULT_CTX) -> ThetaNullBoun
     value is rounding noise.  Requires an (approximately) reduced tau.
     """
     tau = as_siegel(tau, ctx=ctx)
-    if not all_checks_pass(check_reduced(tau, ctx=ctx)):
+    if not all(c.passed for c in check_reduced(tau, ctx=ctx)):
         raise PreconditionError("tau fails check_reduced; theta-null bounds need reduced tau")
     g = tau.g
     nulls = theta_nulls_halfint(tau, ctx)

@@ -93,14 +93,14 @@ class SiegelMatrix:
                 for j in range(i + 1, self.g):
                     if abs(self.entries[i][j] - self.entries[j][i]) > tol:
                         raise DomainError("tau is not symmetric to working precision")
-            # positive definiteness of Im(tau) via leading principal minors
-            for k in range(1, self.g + 1):
-                sub = mp.matrix(k)
-                for i in range(k):
-                    for j in range(k):
-                        sub[i, j] = self.entries[i][j].imag
-                if mp.det(sub) <= 0:
+            # Im(tau) > 0: elimination pivots are ratios of leading minors
+            Y = [[x.imag for x in row] for row in self.entries]
+            for k in range(self.g):
+                if Y[k][k] <= 0:
                     raise DomainError("Im(tau) is not positive definite")
+                for i in range(k + 1, self.g):
+                    f = Y[i][k] / Y[k][k]
+                    Y[i] = [y - f * v for y, v in zip(Y[i], Y[k])]
 
     # -- helpers ---------------------------------------------------------
 

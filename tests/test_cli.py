@@ -9,6 +9,7 @@ from thetaheights import cli
 from thetaheights.cli import run
 from thetaheights.hyper_faltings import bomemo_closed_form
 from thetaheights.precision import PrecisionContext
+from thetaheights.siegel import check_reduced, reduce_g1
 from thetaheights.theta_engine import ThetaCharacteristic, theta_char
 
 CM_CURVE = '{"genus":1,"P":["0","0","0","1"],"Q":["1"]}'
@@ -91,6 +92,10 @@ def test_theta_eval_and_siegel(tmp_path):
     code, doc = run_json(["siegel", "reduce", "--tau", "[5.0,1.0]"], tmp_path)
     assert code == 0
     assert doc["gamma"] == [[1, -5], [0, 1]]
+    # the battery runs on the reduced tau, outside reduce_g1
+    checks = check_reduced(reduce_g1(mpc(5, 1), ctx=PrecisionContext(bits=128)).reduced)
+    assert [(c["id"], c["passed"]) for c in doc["checks"]] == \
+        [(c.condition_id, c.passed) for c in checks]
     code, doc = run_json(["siegel", "check", "--tau", "[0.6,2.0]"], tmp_path)
     assert code == 0
     assert not doc["all_passed"]

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from autissier_quadrature import autissier_quadrature, theta_norm_grid
-from thetaheights.elliptic import point_add, point_neg
+from thetaheights.elliptic import curve_from_a_invariants, point_add, point_neg
 from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
     _kummer_double,
@@ -20,7 +20,6 @@ from thetaheights.local_heights import (
     autissier_integral,
     beta_arch,
     canonical_height_q,
-    duplication_quotient,
     mu_arch_closed,
     mu_arch_series,
     mu_arch_terms,
@@ -123,6 +122,21 @@ def test_mu_series_matches_closed_form_across_precisions(bits):
         assert abs(s - c) <= ctx.tol() + mu_tail_bound(tau, n, ctx)
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_mu_series_default_terms_meet_precision(bits):
+    # with no n_terms the series sets its own count and meets 2^-bits
+    ctx = PrecisionContext(bits=bits)
+    n = (bits + 24) // 2
+    rng = random.Random(bits + 3)
+    cases = [(mpc("0.23", "0.31"), mpc("0.1", "1.1"))]
+    cases += [(mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+               random_reduced_tau(1, rng, ctx)) for _ in range(3)]
+    for z, tau in cases:
+        s = mu_arch_series(z, tau, ctx=ctx)
+        c = mu_arch_closed(z, tau, ctx)
+        assert abs(s - c) <= ctx.eps() + mu_tail_bound(tau, n, ctx)
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_mu_series_accurate_at_large_imag_tau(bits):
     # the walk loses about pi Im tau / log 2 bits to the Kummer coordinate;
@@ -176,8 +190,9 @@ def test_mu_terms_within_uniform_envelope(ctx):
         tau = random_reduced_tau(1, rng, ctx)
         lower, upper = prop_envelope(tau, ctx)
         z = mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        for E in mu_arch_terms(z, tau, 12, ctx, normalized=False):
-            assert lower * (1 - mpf(2) ** -30) <= E <= upper * (1 + mpf(2) ** -30)
+        # the envelope bounds the classical quotient, twice the normalized one
+        for E in mu_arch_terms(z, tau, 12, ctx):
+            assert lower * (1 - mpf(2) ** -30) <= 2 * E <= upper * (1 + mpf(2) ** -30)
 
 
 def test_mu_even_in_z(ctx):
@@ -191,18 +206,18 @@ def test_mu_closed_at_origin_both_normalizations(ctx):
     tau = mpc("0.15", "1.25")
     _, t2, t3, t4 = jacobi_thetas(0, tau, ctx)
     norm0 = mp.sqrt(abs(t2) ** 2 + abs(t3) ** 2 + abs(t4) ** 2)
-    # classical duplication forms (G_1 = 2 t1 t2 t3 t4): the paper's display
+    # classical duplication forms (G_1 = 2 t1 t2 t3 t4): the paper's display;
+    # the normalized forms differ by the constant -(1/3) log 2
     paper = mp.log(abs(t2 * t3 * t4)) / 3 - mp.log(norm0)
-    assert abs(mu_arch_closed(0, tau, ctx, normalized=False) - paper) < mpf(2) ** -100
-    # normalized forms differ by the constant -(1/3) log 2
-    assert abs(mu_arch_closed(0, tau, ctx) - (paper - mp.log(2) / 3)) < mpf(2) ** -100
+    assert abs(mu_arch_closed(0, tau, ctx) + mp.log(2) / 3 - paper) < mpf(2) ** -100
 
 
 def test_duplication_quotient_lattice_invariant(ctx):
+    # the first term of the orbit at z = w / 2 is the quotient E(w)
     tau = mpc("0.2", "1.3")
     w = mpc("0.4", "0.25")
-    e1 = duplication_quotient(w, tau, ctx)
-    e2 = duplication_quotient(w + 3 + 2 * tau, tau, ctx)
+    e1 = mu_arch_terms(w / 2, tau, 1, ctx)[0]
+    e2 = mu_arch_terms((w + 3 + 2 * tau) / 2, tau, 1, ctx)[0]
     assert abs(e1 - e2) < mpf(2) ** -100 * e1
 
 
@@ -290,10 +305,6 @@ def test_alpha_at_i_composition(ctx):
     assert abs(a - (-(mp.log(abs(d) * 2 ** 6)) / 12)) < mpf(2) ** -100
 
 
-def test_alpha_verify_decomposition_mode(ctx):
-    alpha_arch(mpc("0.13", "1.21"), ctx, verify_decomposition=True)
-
-
 def test_alpha_sl2_invariance(ctx):
     # evaluated at an unreduced tau, alpha agrees with the reduced value
     a1 = alpha_arch(mpc("7.3", "0.4"), ctx)
@@ -309,6 +320,16 @@ def test_alpha_finite_examples(ctx):
     assert alpha_finite(-27, 5, ctx) == 0
     with pytest.raises(DomainError):
         alpha_finite(-27, 4, ctx)
+    # an integral Fraction or float is the integer it equals
+    assert alpha_finite(Fraction(-54, 2), 3, ctx) == alpha_finite(-27.0, 3, ctx) \
+        == alpha_finite(-27, 3, ctx)
+
+
+@pytest.mark.parametrize("delta_min", [Fraction(27, 2), 27.9, "27/2", mpf("27.5")])
+def test_alpha_finite_refuses_nonintegral_delta(delta_min, ctx):
+    # a non-integral Delta_min used to be truncated: 27/2 gave 0, 27.9 read as 27
+    with pytest.raises(DomainError):
+        alpha_finite(delta_min, 3, ctx)
 
 
 def test_alpha_sum_identity_cm_curve(ctx):
@@ -397,6 +418,23 @@ def test_canonical_height_orbit_collision(ctx):
         canonical_height_q(E, (Fraction(0), Fraction(0)), ctx)
     with pytest.raises(OrbitCollisionError):
         canonical_height_q(E, None, ctx)
+
+
+@pytest.mark.parametrize("a, order", [
+    ((1, -2, -2, 0, 0), 4),
+    ((Fraction(-1, 2), -3, -3, 0, 0), 8),    # a non-integral model
+])
+def test_canonical_height_orbit_collision_kubert(a, order, ctx):
+    # Kubert curves on which P = (0, 0) has order 4 and 8: [order/2]P is
+    # 2-torsion, so the duplication orbit reaches O
+    E = curve_from_a_invariants(*a)
+    P = (Fraction(0), Fraction(0))
+    Q = P
+    for _ in range(order - 2):
+        Q = point_add(E, Q, P)
+    assert Q is not None and point_add(E, Q, P) is None
+    with pytest.raises(OrbitCollisionError):
+        canonical_height_q(E, P, ctx)
 
 
 def test_canonical_height_rejects_point_off_curve(ctx):

@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-from thetaheights.errors import PreconditionError
+from thetaheights.errors import DomainError, PreconditionError
 from thetaheights.precision import PrecisionContext
 from thetaheights.siegel import (
     apply_symplectic,
@@ -15,6 +15,7 @@ from thetaheights.siegel import (
     reduce_g1,
     theta_null_bounds,
 )
+from thetaheights.theta_engine import SiegelMatrix
 
 S = ((0, -1), (1, 0))
 T = ((1, 1), (0, 1))
@@ -150,6 +151,33 @@ def test_det_imag_transformation(g, ctx):
         lhs = img.det_imag()
         rhs = tau.det_imag() / abs(den) ** 2
         assert abs(lhs - rhs) < mpf(10) ** -25 * abs(rhs)
+
+
+# --- positive definiteness of Im tau ------------------------------------------
+
+
+def _rows(Y):
+    return [[mpc("0.1", y) for y in row] for row in Y]
+
+
+@pytest.mark.parametrize("Y", [
+    [[-1, 0, 0], [0, 1, 0], [0, 0, 1]],      # first leading minor -1
+    [[0, 0, 0], [0, 1, 0], [0, 0, 1]],       # first leading minor 0
+    [[1, 2, 0], [2, 1, 0], [0, 0, 1]],       # second leading minor -3
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],       # second leading minor 0
+    [[2, 1, 1], [1, 2, 1], [1, 1, "0.5"]],   # third leading minor -1/2
+    [[1, 0, 1], [0, 1, 0], [1, 0, 1]],       # third leading minor 0
+])
+def test_from_rows_refuses_nonpositive_leading_minor(Y, ctx):
+    with pytest.raises(DomainError, match="not positive definite"):
+        SiegelMatrix.from_rows(_rows(Y), ctx)
+
+
+def test_from_rows_accepts_positive_definite_g3(ctx):
+    # leading minors 2, 3, 4
+    tau = SiegelMatrix.from_rows(_rows([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), ctx)
+    assert tau.g == 3
+    assert abs(tau.det_imag() - 4) < mpf(2) ** -100
 
 
 # --- condition battery -------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thetaheights"
 
@@ -71,3 +74,43 @@ def test_cli_runs_without_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0]", out.stderr
+
+
+def _third_party_imports(root: Path) -> dict:
+    """Top-level names imported under root that are neither stdlib, the
+    package itself, nor a sibling module of the importing file."""
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        siblings = {p.stem for p in path.parent.glob("*.py")}
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top in sys.stdlib_module_names or top in siblings or top == "thetaheights":
+                    continue
+                found.setdefault(top, f"{path.relative_to(root.parent)}:{node.lineno}")
+    return found
+
+
+def _requirement_names(reqs) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in reqs}
+
+
+def test_imports_declared_in_pyproject():
+    # CI installs ".[test]": the library may use only [project].dependencies,
+    # the tests and the benchmark also the test extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    runtime = _requirement_names(project["dependencies"])
+    test = runtime | _requirement_names(project["optional-dependencies"]["test"])
+    repo = SRC.parent.parent
+    undeclared = []
+    for root, declared in ((SRC, runtime), (repo / "tests", test), (repo / "perfbench", test)):
+        undeclared += [f"{n} ({where})" for n, where in _third_party_imports(root).items()
+                       if n not in declared]
+    assert not undeclared, f"imports missing from pyproject.toml: {undeclared}"
