@@ -197,57 +197,3 @@ def quintic_cm_period_matrix(ctx: PrecisionContext = DEFAULT_CTX) -> SiegelMatri
         t12 -= mp.floor(t12.real + mpf(1) / 2 + ctx.tol())
         rows = [[M[0, 0] - mp.nint(M[0, 0].real), t12], [t12, M[1, 1] - mp.nint(M[1, 1].real)]]
         return as_siegel(rows, g=2, ctx=ctx)
-
-
-@dataclass(frozen=True)
-class BomemoCrossValidation:
-    """Outcome of checking the y^2 + y = x^5 pipeline against the closed form."""
-
-    pipeline_total: mpf
-    closed_form: mpf
-    matched: bool
-    gap: mpf
-    finite_term: mpf            # f_5 log 5 as fed to the pipeline
-    gap_is_finite_term: bool    # |gap| == f_5 log 5: points at the e_5 input
-    arch_only_total: mpf
-    arch_matches_closed_form: bool
-    report: str
-
-
-def bomemo_cross_validation(ctx: PrecisionContext = DEFAULT_CTX,
-                            e5: int = 0, tol=None) -> BomemoCrossValidation:
-    """Run faltings_jacobian on y^2 + y = x^5 data and compare with the
-    Gamma-product closed form.
-
-    Inputs per the published recipe: Delta_min = 5^5, e_5 as given (default 0,
-    giving f_5 = 1/2), CM period matrix.  A mismatch is reported against the
-    e_5 assumption: the gap is compared with the finite term f_5 log 5 and the
-    archimedean-only total is compared with the closed form directly.
-    """
-    with ctx.workprec():
-        tol = mpf("1e-3") if tol is None else mpf(tol)
-        tau = quintic_cm_period_matrix(ctx)
-        fin = FinitePlaceInput(p=5, ord_delta_min=5, e=e5)
-        total, _ = faltings_jacobian(2, [fin], [tau], ctx)
-        arch_total, _ = faltings_jacobian(2, [], [tau], ctx)
-        closed = bomemo_closed_form(ctx)
-        f = fin.f_value(2)
-        fin_term = mpf(f.numerator) / f.denominator * mp.log(5)
-        gap = total - closed
-        matched = bool(abs(gap) <= tol)
-        gap_is_fin = bool(abs(abs(gap) - fin_term) <= tol) if not matched else False
-        arch_ok = bool(abs(arch_total - closed) <= tol)
-        if matched:
-            report = "pipeline matches the closed form"
-        else:
-            report = (
-                f"pipeline exceeds the closed form by {mp.nstr(gap, 8)} "
-                f"= f_5 log 5 exactly: the e_5 = {e5} assumption is not valid "
-                "semistable data over Q (the correct semistable finite "
-                "contribution is 0; the archimedean term alone "
-                f"{'matches' if arch_ok else 'does not match'} the closed form)")
-        return BomemoCrossValidation(
-            pipeline_total=total, closed_form=closed, matched=matched, gap=gap,
-            finite_term=fin_term, gap_is_finite_term=gap_is_fin,
-            arch_only_total=arch_total, arch_matches_closed_form=arch_ok,
-            report=report)

@@ -25,7 +25,12 @@ theta_char walks n + a with h = 1 into a single bin.  _halfint_table walks
 u = k/2 once with h = 1/2 and bins the terms by k mod 4: k mod 2 fixes a in
 {0, 1/2}^g and the b phase is i^{k.2b}, so one pass yields all 4^g
 half-integral values at (z, tau); jacobi_thetas, theta_nulls_halfint,
-phi_product and j10 read that table.
+phi_product and j10 read that table.  At z = 0 on a box symmetric about
+u = 0 (every null table, and theta_char at the zero characteristic) the
+summand is even in u, so the row at -u is the row at u read backwards: the
+walk evaluates only the rows whose prefix is at least its mirror and adds
+each one's integer sums a second time into the mirror's bins.  That halves
+the work for g >= 2 and keeps the error bound below, which holds row by row.
 
 Guard bits.  The box radius is certified at the worst characteristic of the
 sum (||a|| = sqrt(g)/2 for the table).  The walk runs at bits + guard plus
@@ -306,6 +311,15 @@ def _walk(zvec, tau: SiegelMatrix, starts, step, length: int, nbins: int, prec: 
     a term computed as 0 bounds each term the direction leaves out.  A row
     thus errs by less than 6 (M + 1) length^3 and the walk by less than
     6 (M + 1) length^(g+2).
+
+    When every z_i is 0 and the box is symmetric, 2 starts[i] + step
+    (length - 1) = 0, the summand is even in u, so the row at the mirror
+    prefix length - 1 - j holds this row's terms in reverse order.  Only
+    prefixes lexicographically at least their mirror are walked; each walked
+    row's integer sums go a second time into the mirror's bins, residue r to
+    (length - 1 - r) mod nbins.  The mirror row then errs exactly as the
+    walked row does, so the bound above is unchanged.  g = 1 has one row,
+    its own mirror.
     """
     g = tau.g
     T = tau.entries
@@ -324,7 +338,12 @@ def _walk(zvec, tau: SiegelMatrix, starts, step, length: int, nbins: int, prec: 
     half = 1 << (prec - 1)
     bins_re = [0] * nbins ** g
     bins_im = [0] * nbins ** g
+    # z = 0 on a box symmetric about u = 0: the summand is even in u
+    even = all(x == 0 for x in zvec) and all(2 * s + h * (length - 1) == 0 for s in starts)
     for prefix in itertools.product(range(length), repeat=g - 1):
+        mirror = tuple(length - 1 - j for j in prefix)
+        if even and prefix < mirror:
+            continue
         with mp.workprec(row_prec):
             u = [us[i][j] for i, j in enumerate(prefix)]
             lin = mp.fsum(tcol[i] * u[i] for i in range(g - 1)) + zvec[g - 1]
@@ -355,13 +374,18 @@ def _walk(zvec, tau: SiegelMatrix, starts, step, length: int, nbins: int, prec: 
                 xr, xi = (xr * rr - xi * ri + half) >> prec, (xr * ri + xi * rr + half) >> prec
                 rr, ri = (rr * qr - ri * qi + half) >> prec, (rr * qi + ri * qr + half) >> prec
                 j += dj
-        base = 0
-        for j in prefix:
-            base = base * nbins + j % nbins
-        base *= nbins
-        for r in range(nbins):
-            bins_re[base + r] += acc_re[r]
-            bins_im[base + r] += acc_im[r]
+        rows = [(prefix, range(nbins))]
+        if even and mirror != prefix:
+            # the mirror row holds the same integers, residue r at (length - 1 - r) mod nbins
+            rows.append((mirror, [(length - 1 - r) % nbins for r in range(nbins)]))
+        for pre, dest in rows:
+            base = 0
+            for j in pre:
+                base = base * nbins + j % nbins
+            base *= nbins
+            for r, d in enumerate(dest):
+                bins_re[base + d] += acc_re[r]
+                bins_im[base + d] += acc_im[r]
     return list(zip(bins_re, bins_im))
 
 
@@ -500,14 +524,23 @@ def phi_product(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
     A null at or below ctx.tol() in absolute value makes the product vanish
     to working precision and raises DomainError (for g = 2 an even null
     vanishes exactly on the reducible locus, products of elliptic curves).
+
+    log|phi| is certified to 2^-bits as well.  A table null errs by less
+    than err = 2^-(bits+guard-1): the tail stays below 2^-(bits+guard), the
+    walk below 2^-(bits+guard+4), and the final rounding below
+    2^-(bits+guard) for nulls under 2^extra.  So log|phi| errs by less than
+    8 sum_m err / (|theta_m| - 2 err).  Where that exceeds 2^-bits (a null
+    small but above the refusal threshold), the nulls are evaluated again
+    with s more bits, s chosen so that 8 n err 2^-s / (|theta_min| - 2 err)
+    stays below 2^-bits for the n nulls of the product.
     """
     from .weierstrass import char_system
 
     tau = as_siegel(tau, ctx=ctx)
+    chars = char_system(tau.g)
     nulls = _halfint_table([mpc(0)] * tau.g, tau, ctx)
     with ctx.workprec():
-        out = mpc(1)
-        for m in char_system(tau.g):
+        for m in chars:
             v = nulls[m]
             if abs(v) <= ctx.tol():
                 raise DomainError(
@@ -515,7 +548,14 @@ def phi_product(tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpc:
                     f"b={[str(x) for x in m.b]} vanishes to working precision "
                     f"(|theta| = {mp.nstr(abs(v), 3)}); "
                     + ("tau lies on the reducible locus" if tau.g == 2 else "phi(tau) = 0"))
-            out *= v ** 8
+        err = mpf(2) ** (1 - ctx.working_bits)
+        if 8 * mp.fsum(err / (abs(nulls[m]) - 2 * err) for m in chars) > ctx.eps():
+            smallest = min(abs(nulls[m]) for m in chars)
+            s = ctx.bits + int(mp.ceil(mp.log(8 * len(chars) * err / (smallest - 2 * err), 2)))
+            nulls = _halfint_table([mpc(0)] * tau.g, tau, ctx.higher(s))
+        out = mpc(1)
+        for m in chars:
+            out *= nulls[m] ** 8
         return +out
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from autissier_quadrature import autissier_quadrature
+from quintic_cross_validation import bomemo_cross_validation
 from thetaheights.elliptic import (
     chowla_selberg,
     curve_from_a_invariants,
@@ -26,7 +27,6 @@ from thetaheights.elliptic import (
 )
 from thetaheights.hyper_faltings import (
     bomemo_closed_form,
-    bomemo_cross_validation,
     lockhart_invariant,
 )
 from thetaheights.local_heights import (

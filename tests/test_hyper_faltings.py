@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from quintic_cross_validation import BomemoCrossValidation, bomemo_cross_validation
 from thetaheights.errors import DomainError
 from thetaheights.hyper_faltings import (
-    BomemoCrossValidation,
     FinitePlaceInput,
     bomemo_closed_form,
-    bomemo_cross_validation,
     eta_norm_arch,
     faltings_jacobian,
     lockhart_invariant,
@@ -248,3 +247,15 @@ def test_vanishing_even_null_is_refused(ctx):
             phi_product(tau, ctx)
         with pytest.raises(DomainError, match="reducible"):
             faltings_jacobian(2, [], [tau], ctx)
+
+
+@pytest.mark.parametrize("e", [60, 90, 110])
+def test_log_phi_certified_near_reducible_locus(ctx, e):
+    # tau_12 = i 2^-e puts the null theta[1/2 1/2; 1/2 1/2](0) near 2^-e, above
+    # the refusal threshold 2^-(bits-8): its absolute error alone would leave
+    # log|phi| off by about 2^-(bits+guard-e), so the nulls must be evaluated again
+    eps = mpf(2) ** -e
+    tau = [[mpc(0, 1), mpc(0, eps)], [mpc(0, eps), mpc(0, "1.1")]]
+    h, _ = faltings_jacobian(2, [], [tau], ctx)
+    ref, _ = faltings_jacobian(2, [], [tau], ctx.higher(64))
+    assert abs(h - ref) < ctx.eps()

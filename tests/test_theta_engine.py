@@ -9,6 +9,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from thetaheights.errors import DomainError, ResourceError
+from thetaheights.hyper_faltings import quintic_cm_period_matrix
 from thetaheights.precision import PrecisionContext
 from thetaheights.siegel import random_reduced_tau
 from thetaheights.theta_engine import (
@@ -300,6 +301,35 @@ def test_odd_nulls_vanish_in_the_table(ctx):
         assert all(abs(v) <= ctx.tol() for v in odd)
 
 
+def test_g2_nulls_match_theta_char_with_wider_box(ctx):
+    # z = 0 folds the walk onto half the rows; theta_char walks n + a with
+    # step 1 into one bin (it folds only at the zero characteristic)
+    rng = random.Random(47)
+    taus = [random_reduced_tau(2, rng, ctx) for _ in range(5)] + [quintic_cm_period_matrix(ctx)]
+    for tau in taus:
+        nulls = theta_nulls_halfint(tau, ctx)
+        assert set(nulls) == set(_halfint_chars(2))
+        for m, v in nulls.items():
+            assert abs(v - theta_char(m, [0, 0], tau, ctx, radius_margin=2)) < ctx.eps()
+
+
+def test_diagonal_tau_nulls_are_products_of_jtheta_nulls(ctx):
+    # theta[a; b](0, diag(t1, t2)) = theta[a1; b1](0, t1) theta[a2; b2](0, t2):
+    # rows with tau_12 = 0, against mpmath's Jacobi series with nome e^{i pi t}
+    t1, t2 = mpc("0.2", "1.05"), mpc("-0.35", "1.4")
+    nulls = theta_nulls_halfint([[t1, 0], [0, t2]], ctx)
+    def g1_nulls(t):
+        # theta[a; b](0, t) for a, b in {0, 1/2}; theta[1/2; 1/2](0, t) = 0
+        q = mp.expjpi(t)
+        return {(0, 0): mp.jtheta(3, 0, q), (0, HALF): mp.jtheta(4, 0, q),
+                (HALF, 0): mp.jtheta(2, 0, q), (HALF, HALF): mpc(0)}
+
+    with mp.workprec(ctx.bits + 64):
+        n1, n2 = g1_nulls(t1), g1_nulls(t2)
+        for m, v in nulls.items():
+            assert abs(v - n1[m.a[0], m.b[0]] * n2[m.a[1], m.b[1]]) < ctx.eps()
+
+
 def test_g3_table_matches_theta_char():
     ctx64 = PrecisionContext(bits=64)
     tau = [[mpc(0, "1.1"), mpc("0.1", "0.2"), mpc(0, "0.1")],
@@ -307,12 +337,10 @@ def test_g3_table_matches_theta_char():
            [mpc(0, "0.1"), mpc("0.1", "0.15"), mpc(0, "1.5")]]
     nulls = theta_nulls_halfint(tau, ctx64)
     assert len(nulls) == 64
-    assert sum(1 for m in nulls if m.parity() == 0) == 36
     assert all(abs(v) <= ctx64.tol() for m, v in nulls.items() if m.parity() == 1)
-    for a, b in (((0, 0, 0), (0, 0, 0)), ((HALF, 0, HALF), (0, 0, 0)),
-                 ((HALF, HALF, 0), (HALF, HALF, HALF))):
-        m = ThetaCharacteristic.make(a, b)
-        assert m.parity() == 0
+    even = [m for m in nulls if m.parity() == 0]
+    assert len(even) == 36
+    for m in even:
         assert abs(nulls[m] - theta_char(m, [0, 0, 0], tau, ctx64)) < ctx64.eps()
 
 
