@@ -123,44 +123,31 @@ class LockhartReport:
     lhs: mpf              # |Delta_E| V(Lambda)^{4 + 2/g}
     rhs: mpf              # 2^{4g} pi^{8g+4} (|phi| det(Im tau)^{2l})^{1/n}
     rel_err: mpf
-    rescaled_rel_change: mpf   # invariance under a u-rescaled model
-    u: Fraction
 
 
-def lockhart_invariant(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CTX,
-                       u=Fraction(3)) -> LockhartReport:
+def lockhart_invariant(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CTX) -> LockhartReport:
     """Model-independence identity |Delta_E| V^{4+2/g} = 2^{4g} pi^{8g+4} (...)^{1/n}.
 
     Genus 1 only (the covolume comes from the AGM periods); both sides are
-    computed independently and compared, and the left side is recomputed on a
-    u-rescaled model to exhibit the exact exponent cancellation.
+    computed independently and compared.  The left side is the same on every
+    model of the curve (Delta scales by u^-12, the covolume by u^2): compare
+    lhs across apply_model_change to see it.
     """
     from .elliptic import periods_agm
-    from .weierstrass import ModelChange, apply_model_change
 
     if E.g != 1:
         raise DomainError("lockhart_invariant is implemented for g = 1")
     ex = _exact_exponents(1)
     with ctx.workprec():
-        def lhs_of(Ei):
-            per = periods_agm(Ei, ctx)
-            dE = discriminant(Ei)
-            co = mpf(ex["covol_exp"].numerator) / ex["covol_exp"].denominator
-            return (abs(mpf(dE.numerator)) / dE.denominator) * per.covolume ** co, per
-
-        lhs, per = lhs_of(E)
+        per = periods_agm(E, ctx)
+        dE = discriminant(E)
+        co = mpf(ex["covol_exp"].numerator) / ex["covol_exp"].denominator
+        lhs = (abs(mpf(dE.numerator)) / dE.denominator) * per.covolume ** co
         phi = phi_product(per.tau, ctx)
         t = per.tau.scalar()
         # n = 1 and 2l/n = 6 for g = 1
         rhs = mpf(2) ** 4 * mp.pi ** 12 * abs(phi) * t.imag ** 6
-        E2 = apply_model_change(E, ModelChange.make(u))
-        lhs2, _ = lhs_of(E2)
-        return LockhartReport(
-            lhs=lhs, rhs=rhs,
-            rel_err=abs(lhs - rhs) / abs(rhs),
-            rescaled_rel_change=abs(lhs - lhs2) / abs(lhs),
-            u=Fraction(u),
-        )
+        return LockhartReport(lhs=lhs, rhs=rhs, rel_err=abs(lhs - rhs) / abs(rhs))
 
 
 def bomemo_closed_form(ctx: PrecisionContext = DEFAULT_CTX) -> mpf:

@@ -9,10 +9,13 @@ P^1: the squared duplication quartics step the point, and the Jacobi
 quadrics read t1^2 and t2^2 back from it.  The walk runs in fixed point at
 the reduced tau, with 2 log2 rho + 8 extra bits for the distortion of the
 Kummer coordinate, rho the spread of the squared theta nulls (about
-e^{pi Im tau / 2} / 2; see _duplication_orbit).  mu_arch_closed evaluates
-the telescoped limit -log N(2z) + (1/3) log c from direct theta sums; beta_arch
-reads the same N(2z), so 2(beta - mu_closed) = alpha by algebra, and only the
-orbit series makes the decomposition a check.
+e^{pi Im tau / 2} / 2; see _duplication_orbit).  The walk yields integer
+sizes s_n with E_n = c sqrt(s_n 2^-P), and mu_arch_series sums the
+4^{-n-1}-weighted logs as the log of one product, built by Horner's rule on
+an integer mantissa and exponent: one logarithm for the whole series.
+mu_arch_closed evaluates the telescoped limit -log N(2z) + (1/3) log c from
+direct theta sums; beta_arch reads the same N(2z), so 2(beta - mu_closed) =
+alpha by algebra, and only the orbit series makes the decomposition a check.
 
 The duplication forms are normalized (G_1 = t1 t2 t3 t4, c = |t2 t3 t4| / 2 =
 |eta|^3) so that alpha matches the differential-height formula place by place.
@@ -123,8 +126,11 @@ def _form_constant(nulls) -> mpf:
     return abs(t2 * t3 * t4) / 2
 
 
-def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> list:
-    """E at w, 2w, ..., 2^{n_terms-1} w from one theta evaluation at w.
+def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> tuple:
+    """(c, sizes, P): E at w, 2w, ..., 2^{n_terms-1} w from one theta evaluation at w.
+
+    c is the form constant, P the fixed-point precision of the walk, and the
+    n-th of the positive integers sizes gives E(2^n w) = c sqrt(s_n 2^-P).
 
     E(w) = c ||T(2w)|| / ||T(w)||^4 is homogeneous of degree 4 over degree 4,
     so it can be read off any scaling of the projective point T = (t1:t2:t3:t4):
@@ -149,7 +155,8 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> list:
     Every point of P^1 is a point of the curve, so rounding cannot push the
     orbit off it.  The walk runs in fixed point, Python integers in units of
     2^-P as in theta_engine._walk, and rescales the point to unit norm after
-    every step, so that E = c ||T'||.
+    every step, so that E = c ||T'|| and ||T'||^2 = s_n 2^-P, s_n the
+    integer size of the new point.
 
     Precision.  A rounding error d in the unit-norm point moves w by up to
     D d, D the largest |dw/dx| of the Kummer coordinate.  The doublings carry
@@ -202,8 +209,7 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> list:
         sizes.append(size)
         X, Y, A = (((v[0] * one + size // 2) // size, (v[1] * one + size // 2) // size)
                    for v in (X, Y, A))
-    with hi.workprec():
-        return [form * mp.sqrt(mp.ldexp(s, -prec)) for s in sizes]
+    return form, sizes, prec
 
 
 def _kummer_line(nulls, prec: int) -> tuple:
@@ -267,7 +273,9 @@ def mu_arch_terms(z, tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> 
     steps and the precision they need.
     """
     with ctx.workprec():
-        return _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
+        c, sizes, prec = _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
+    with mp.workprec(prec):
+        return [c * mp.sqrt(mp.ldexp(s, -prec)) for s in sizes]
 
 
 def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
@@ -280,16 +288,47 @@ def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf
 
 def mu_arch_series(z, tau, n_terms: int | None = None,
                    ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """Partial sum of mu(P) = sum 4^{-n-1} log E([2^n] P).
+    """Partial sum of mu(P) = sum 4^{-n-1} log E([2^n] P), with one logarithm.
 
     n_terms defaults to (bits + 24) // 2: 4^-n_terms <= 2^-(bits+23) puts
     mu_tail_bound below 1e-5 2^-bits for Im tau up to 200 at 64-256 bits.
+
+    The terms are E_n = c sqrt(x_n), x_n = s_n 2^-P (see _duplication_orbit),
+    so over the N terms
+
+        sum_{n<N} 4^{-n-1} log E_n = ((1 - 4^-N) / 3) log c + (1/2) 4^-N log H,
+
+    H = prod_{n<N} x_n^{4^{N-1-n}}, which Horner's rule builds as H <- H^4 x_n.
+    H is kept as man 2^ex: an integer mantissa of W = P bits and an integer
+    exponent, stepped as man <- man^4 s_n rounded to W bits, ex <- 4 ex - P
+    plus the bits rounded off.  Error: the rounding at step n errs
+    relatively by at most 2^-W, so it moves log H by less than 2^{1-W}, and
+    each later step multiplies that by 4; the rounding at step n thus weighs
+    4^{N-1-n} 2^{1-W} in log H and 4^{-n-1} 2^{-W} after the scale
+    (1/2) 4^-N, less than 2^-W / 3 over all n.  The logarithms are taken at
+    P + ceil(log2 P) bits, log 2 included, so that the exponent term
+    (1/2) 4^-N ex log 2, with |4^-N ex| up to about P, keeps its absolute
+    error near 2^-P as well.  No term is rounded on its own, so the sum errs
+    by a few 2^-P beyond the walk's own rounding, far below the
+    2^-(bits+guard) of the result's final rounding.
     """
     if n_terms is None:
         n_terms = (ctx.bits + 24) // 2
-    terms = mu_arch_terms(z, tau, n_terms, ctx)
     with ctx.workprec():
-        return mp.fsum(mp.log(E) / mpf(4) ** (n + 1) for n, E in enumerate(terms))
+        c, sizes, prec = _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
+    man, ex = 1, 0                           # H = man 2^ex
+    for s in sizes:
+        man, ex = man ** 4 * s, 4 * ex - prec
+        drop = max(0, man.bit_length() - prec)
+        man, ex = (man + (1 << drop >> 1)) >> drop, ex + drop
+    N = len(sizes)
+    quo, rem = divmod(ex, 4 ** N)            # 4^-N ex = quo + rem 4^-N, exactly
+    with mp.workprec(prec + math.ceil(math.log2(prec))):
+        scale = mp.ldexp(1, -2 * N)
+        total = ((1 - scale) / 3 * mp.log(c) + scale * mp.log(man) / 2
+                 + (quo + mp.ldexp(rem, -2 * N)) * mp.ln2 / 2)
+    with ctx.workprec():
+        return +total
 
 
 def mu_arch_closed(z, tau, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:

@@ -7,6 +7,7 @@ library's one sympy boundary: only _factorint and _isprime import it, on use.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -223,11 +224,13 @@ def _char_sum(chars) -> ThetaCharacteristic:
     return ThetaCharacteristic.make(a, b).reduced()
 
 
-def char_system(g: int) -> list:
+@functools.cache
+def char_system(g: int) -> tuple:
     """The l = C(2g+1, g+1) characteristics m_{T o U}, reduced mod 1.
 
     T runs over the (g+1)-subsets of {1, ..., 2g+1}, U = {1, 3, ..., 2g+1},
-    and o is symmetric difference.  Each characteristic is even.
+    and o is symmetric difference.  Each characteristic is even.  Built once
+    per g: every call with that g returns the same tuple.
     """
     if not 1 <= g <= 3:
         raise DomainError("char_system supports 1 <= g <= 3")
@@ -243,7 +246,7 @@ def char_system(g: int) -> list:
         out.append(m)
     if len(out) != math.comb(2 * g + 1, g + 1):
         raise NumericError("characteristic system has the wrong size (internal error)")
-    return out
+    return tuple(out)
 
 
 def finite_valuations(delta) -> list:

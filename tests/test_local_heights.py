@@ -154,6 +154,23 @@ def test_mu_series_accurate_at_large_imag_tau(bits):
             assert abs(s - ref) <= ctx.eps()
 
 
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_mu_series_one_log_matches_sum_of_term_logs(bits):
+    # the series takes one logarithm of a product; summing 4^-n-1 log E_n
+    # over the terms at bits + 64 must give the same value within 2^-bits
+    ctx = PrecisionContext(bits=bits)
+    rng = random.Random(bits + 5)
+    for im in (0.9, 30):
+        tau = mpc(rng.uniform(-0.5, 0.5), im)
+        z = mpc(rng.random(), 0) + rng.random() * tau
+        for n in (0, 1, (bits + 24) // 2):
+            s = mu_arch_series(z, tau, n, ctx)
+            terms = mu_arch_terms(z, tau, n, ctx.higher(64))
+            with mp.workprec(bits + 64):
+                ref = mp.fsum(mp.log(E) / mpf(4) ** (k + 1) for k, E in enumerate(terms))
+                assert abs(s - ref) <= ctx.eps()
+
+
 def test_mu_terms_constant_on_two_torsion(ctx):
     # (0 : t2 : t3 : t4) is a fixed point of the duplication quartics
     tau = mpc("0.15", "1.1")

@@ -230,20 +230,35 @@ def test_delta_translation_invariance(ctx):
     assert abs(d1) > 0
 
 
-def eta_pentagonal(tau, K=40):
-    """Dedekind eta by the pentagonal-number series (independent oracle)."""
-    q = mp.expjpi(2 * tau)
-    s = mpc(0)
-    for k in range(-K, K + 1):
-        s += (-1) ** k * q ** (Fraction(k * (3 * k - 1), 2))
-    return mp.expjpi(tau / 12) * s
+def delta_q_product(tau, bits):
+    """Delta(tau) = q prod_{n>=1} (1 - q^n)^24 by the q-product (independent
+    oracle), at bits + 64 with the tail of its log below 2^-(bits+40)."""
+    with mp.workprec(bits + 64):
+        q = mp.expjpi(2 * tau)
+        aq = abs(q)
+        # the log of prod_{n>M} (1 - q^n)^24 is below 24 |q|^{M+1} / (1-|q|)^2
+        target = mpf(2) ** (-(bits + 40))
+        prod, qn, M = mpc(1), q, 0
+        while 24 * aq ** (M + 1) / (1 - aq) ** 2 > target:
+            prod *= 1 - qn
+            qn *= q
+            M += 1
+        return q * prod ** 24
 
 
-def test_delta_vs_eta_product_oracle(ctx):
-    for tau in (mpc(0, 1), mpc("0.5", "0.866025403784438646763")):
-        d = modular_discriminant(tau, ctx)
-        e24 = eta_pentagonal(tau) ** 24
-        assert abs(d - e24) < mpf(10) ** -30 * abs(d)
+def test_delta_vs_eta_product_oracle():
+    # the pentagonal series of the library against the eta product, at
+    # tau = i, rho, Im tau = 0.11 next to the 0.1 floor (|q| about 0.5) and Im tau = 30
+    for bits in (64, 256, 512):
+        ctx = PrecisionContext(bits=bits)
+        with mp.workprec(bits + 64):
+            taus = (mpc(0, 1), mp.expjpi(mpf(1) / 3), mpc("0.3", "0.11"), mpc("0.2", "30"))
+        for tau in taus:
+            tau = as_siegel(tau, g=1, ctx=ctx).scalar()
+            d = modular_discriminant(tau, ctx)
+            ref = delta_q_product(tau, bits)
+            with mp.workprec(bits + 64):
+                assert abs(d - ref) <= ctx.eps() * abs(ref)
 
 
 def test_phi_product_equals_256_delta_g1(ctx):
