@@ -63,7 +63,9 @@ def _max_delta(a, b):
 def _parse_complex(text: str, ctx: PrecisionContext):
     """A complex number as JSON: number, "re", or [re, im] with string parts.
 
-    Decimal and rational strings are rounded at the working precision."""
+    Decimal and rational strings are rounded at the working precision; a
+    non-finite part (NaN, inf, or a float literal beyond the double range) is
+    a parse error."""
     try:
         val = json.loads(text)
     except json.JSONDecodeError:
@@ -81,8 +83,12 @@ def _parse_complex(text: str, ctx: PrecisionContext):
         if isinstance(val, list):
             if len(val) != 2:
                 raise _ParseFailure("complex literal must be [re, im]")
-            return mpc(one(val[0]), one(val[1]))
-        return mpc(one(val))
+            z = mpc(one(val[0]), one(val[1]))
+        else:
+            z = mpc(one(val))
+    if not (mp.isfinite(z.real) and mp.isfinite(z.imag)):
+        raise _ParseFailure(f"complex literal must be finite: {text!r}")
+    return z
 
 
 def _parse_tau(text: str, ctx: PrecisionContext):
@@ -124,6 +130,17 @@ def _parse_point(text: str):
     if len(parts) != 2:
         raise _ParseFailure("point must be 'x,y' with rational coordinates")
     return tuple(_parse_fraction_vector(text))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
 
 
 def _place_rows(breakdown, keys):
@@ -438,10 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g_chk = sub.add_parser("check").add_subparsers(dest="cmd", required=True)
     p = leaf(g_chk, "identities")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p = leaf(g_chk, "matrix-lemma")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_positive_int, default=20)
     p = leaf(g_chk, "autissier")
     p.add_argument("--tau", default=None)
     return ap

@@ -18,7 +18,8 @@ from .errors import DomainError, NumericError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .siegel import reduce_g1
 from .theta_engine import SiegelMatrix, jacobi_thetas, modular_discriminant
-from .weierstrass import WeierstrassEquation, _factorint, discriminant, finite_valuations
+from .weierstrass import (ModelChange, WeierstrassEquation, _factorint, _iroot, discriminant,
+                          split_places)
 
 # --- invariants ---------------------------------------------------------
 
@@ -206,6 +207,31 @@ def minimal_model_q(E: WeierstrassEquation) -> tuple:
     return Emin, int(dmin)
 
 
+def model_change_q(E: WeierstrassEquation, E2: WeierstrassEquation) -> ModelChange:
+    """The change x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, u > 0, that carries
+    E onto an isomorphic model E2, such as minimal_model_q's.
+
+    u^12 = Delta / Delta' = (c4^3 - c6^2) / (c4'^3 - c6'^2); the a1, a2 and a3
+    laws then fix s, r and t, and the a4 and a6 laws check them (Silverman,
+    AEC III.1; the other sign of u composes with [-1]).  Returned as
+    ModelChange.make(u, r, [t, s u^2]); models that are not isomorphic over Q
+    raise DomainError.
+    """
+    (c4, c6), (d4, d6) = c_invariants(E), c_invariants(E2)
+    ratio = (c4 ** 3 - c6 ** 2) / (d4 ** 3 - d6 ** 2)
+    u = Fraction(_iroot(abs(ratio.numerator), 12), _iroot(ratio.denominator, 12))
+    a1, a2, a3, a4, a6 = a_invariants(E)
+    b1, b2, b3, b4, b6 = a_invariants(E2)
+    s = (u * b1 - a1) / 2
+    r = (u * u * b2 - a2 + s * a1 + s * s) / 3
+    t = (u ** 3 * b3 - a3 - r * a1) / 2
+    if (ratio <= 0 or u ** 12 != ratio
+            or u ** 4 * b4 != a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
+            or u ** 6 * b6 != a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1):
+        raise DomainError("the two models are not isomorphic over Q")
+    return ModelChange.make(u, r, [t, s * u * u])
+
+
 # --- periods via AGM -----------------------------------------------------
 
 
@@ -258,18 +284,21 @@ def periods_agm(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CTX) -> 
 # --- Faltings height (Silverman's formula) --------------------------------
 
 
-def stable_finite_exponents(j: Fraction, valuations) -> tuple:
-    """[(p, e_p)] with e_p = max(0, -ord_p(j)) over the primes of
-    valuations = finite_valuations(Delta_min): finite data of the stable model.
+def finite_places(Emin: WeierstrassEquation, dmin: int) -> tuple:
+    """([(d, e, prime, s)], semistable, den j) for the minimal model Emin,
+    without factoring Delta_min.
 
-    Also returns whether E/Q is semistable everywhere (e_p = ord_p(Delta_min));
-    j = 0 has potentially good reduction at every prime, so all e_p = 0.
+    The places are weierstrass.split_places(Delta_min): |Delta_min| = prod d^e.
+    s is the d-part of den j = |Delta_min| / gcd(Delta_min, c4^3), whose ord_p
+    is max(0, -ord_p j), the exponent of the stable model at p; j = 0 has
+    potentially good reduction everywhere, and there den j = 1.  E/Q is
+    semistable exactly when gcd(c4, Delta_min) = 1 (Silverman, AEC VII.5.1).
     """
-    out = []
-    for p, _ in valuations:
-        jv = _val(j.numerator, p) - _val(j.denominator, p)
-        out.append((p, max(0, -jv) if j else 0))
-    return out, out == list(valuations)
+    c4 = int(c_invariants(Emin)[0])
+    den_j = abs(dmin) // math.gcd(dmin, c4 ** 3)
+    # den j divides prod d^e over pairwise coprime d, so its d-part is gcd(den j, d^e)
+    out = [(d, e, prime, math.gcd(den_j, d ** e)) for d, e, prime in split_places(dmin)]
+    return out, math.gcd(c4, dmin) == 1, den_j
 
 
 def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CTX,
@@ -280,10 +309,13 @@ def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CT
         h = (1/12)[log|D_min| - log((2 pi)^12 |Delta(tau)| (Im tau)^6)]
             + (1/2) log(2 pi^2).
     With stable=True the finite exponents are replaced by the stable-model
-    exponents max(0, -ord_p(j)) (= ord_p(D_min) exactly when E is semistable).
-    Non-semistable input draws a warning either way; the formula's hypotheses
-    assume semistable reduction.  The breakdown's extras hold the reduced
-    period ratio ("tau") of the minimal model.
+    exponents max(0, -ord_p(j)), so |D_min| by den j (= |D_min| exactly when E
+    is semistable).  Non-semistable input draws a warning either way; the
+    formula's hypotheses assume semistable reduction.  The finite places are
+    those of finite_places: primes, and at most one composite block d whose
+    alpha_d = (1/12) e log d (stable: (1/12) log of its part of den j) is
+    never split further.  The breakdown's extras hold the reduced period
+    ratio ("tau") of the minimal model.
 
     Returns (h, HeightBreakdown).
     """
@@ -296,26 +328,23 @@ def faltings_elliptic(E: WeierstrassEquation, ctx: PrecisionContext = DEFAULT_CT
     if (Emin.P, Emin.Q) != (E.P, E.Q):
         warnings.append("input model was not minimal; minimized internally")
     per = periods_agm(Emin, ctx)
-    valuations = finite_valuations(dmin)
-    stable_exps, semistable = stable_finite_exponents(j_invariant(Emin), valuations)
+    places, semistable, den_j = finite_places(Emin, dmin)
     if not semistable:
         warnings.append(
             "curve is not semistable over Q; the differential-height formula assumes "
             "semistable reduction" + (" (stable exponents substituted)" if stable else ""))
-    exps = stable_exps if stable else valuations
     with ctx.workprec():
-        # alpha_p = (1/12) e_p log p; valuations carry no zero exponents
-        entries = [(Place.finite(p), {"alpha": e * mp.log(p) / 12}) for p, e in exps if e]
+        # alpha_d = (1/12) log of the d-part of |D_min| (stable: of den j)
+        entries = [(Place.finite(d, prime=prime),
+                    {"alpha": (mp.log(s) if stable else e * mp.log(d)) / 12})
+                   for d, e, prime, s in places if s > 1 or not stable]
         a_inf = alpha_arch(per.tau, ctx)
         entries.append((Place.archimedean(), {"alpha": a_inf}))
         # the literal Thm 1.1 expression, kept as an independent route from
         # the per-place alpha sum (their agreement is a test contract)
         t = per.tau.scalar()
         delta = modular_discriminant(per.tau, ctx)
-        if stable:
-            log_dmin = mp.fsum(e * mp.log(p) for p, e in stable_exps)
-        else:
-            log_dmin = mp.log(abs(dmin))
+        log_dmin = mp.log(den_j if stable else abs(dmin))
         h = (log_dmin - mp.log((2 * mp.pi) ** 12 * abs(delta) * t.imag ** 6)) / 12 \
             + mp.log(2 * mp.pi ** 2) / 2
         breakdown = HeightBreakdown.assemble(entries, warnings=tuple(warnings),

@@ -29,11 +29,15 @@ log||eta||, and int ||theta||^2 dmu = 2^{-1/2}, whence I = -log||eta|| - (1/4)
 log 2 = alpha / 2 (Faltings, Ann. Math. 119, 1984, section 7; Autissier,
 Compositio Math. 142, 2006).
 
-Finite side: exact valuation bookkeeping.  Canonical heights of rational
-points run the same telescoping series place by place: real iteration at the
-archimedean place, residue arithmetic modulo powers of the discriminant at
-the finite places (the duplication resultant is Delta^2, so all gcd activity
-divides Delta^2).
+Finite side: exact rationals, no series.  The canonical height of a rational
+point sums local heights: at the archimedean place a real iteration of the
+telescoping series, at each prime p an exact rational multiple of log p read
+from Silverman's closed form on the minimal model (1988, Thm 5.2; see
+_lambda_finite_all), carried to the integralized input model by the scale u
+of the model change.  Only the denominator of x(P), u, and the gcd of the two
+partial derivatives at P are factored; no discriminant is.  The residue
+iteration of the duplication series, which the closed form replaced, is the
+test suite's oracle for it.
 """
 
 from __future__ import annotations
@@ -44,12 +48,12 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import DomainError, NumericError, OrbitCollisionError
+from .errors import DomainError, OrbitCollisionError
 from .precision import DEFAULT_CTX, PrecisionContext
 from .siegel import reduce_g1
 from .theta_engine import (MIN_IMAG_EIGENVALUE, SiegelMatrix, _fixed, _fmul, as_siegel,
                            jacobi_thetas, modular_discriminant, theta_norm)
-from .weierstrass import WeierstrassEquation, _isprime, finite_valuations
+from .weierstrass import WeierstrassEquation, _factorint, _isprime
 
 
 # --- places and breakdowns ------------------------------------------------
@@ -57,24 +61,29 @@ from .weierstrass import WeierstrassEquation, _isprime, finite_valuations
 
 @dataclass(frozen=True)
 class Place:
-    """An archimedean embedding or a finite prime, with local degree d_v."""
+    """An archimedean embedding, a finite prime, or a composite block of
+    finite primes that is never split (elliptic.finite_places), with local
+    degree d_v."""
 
     kind: str          # "arch" | "finite"
     p: int | None = None
     d_v: int = 1
+    prime: bool = True  # False: p is the product d of a composite block
 
     @classmethod
     def archimedean(cls, d_v: int = 1) -> "Place":
         return cls(kind="arch", p=None, d_v=d_v)
 
     @classmethod
-    def finite(cls, p: int, d_v: int = 1) -> "Place":
+    def finite(cls, p: int, d_v: int = 1, prime: bool = True) -> "Place":
         if p < 2:
             raise DomainError("finite place needs a prime p >= 2")
-        return cls(kind="finite", p=p, d_v=d_v)
+        return cls(kind="finite", p=p, d_v=d_v, prime=prime)
 
     def label(self) -> str:
-        return "inf" if self.kind == "arch" else f"p={self.p}"
+        if self.kind == "arch":
+            return "inf"
+        return f"p={self.p}" if self.prime else f"d={self.p}"
 
 
 @dataclass(frozen=True)
@@ -430,11 +439,14 @@ def _integralize(E: WeierstrassEquation, P) -> tuple:
     return E_int, (x * m * m, y * m ** 3)
 
 
-def _orbit_collision_check(E: WeierstrassEquation, P, steps: int = 6) -> None:
+def _orbit_collision_check(E: WeierstrassEquation, P) -> None:
+    """Refuse P if its duplication orbit reaches O, that is if P has 2-power
+    order.  By Mazur's theorem a rational point of 2-power order has order at
+    most 8, so [2]P, [4]P and [8]P decide it."""
     from .elliptic import point_add
 
     Q = P
-    for n in range(1, steps + 1):
+    for n in range(1, 4):
         Q = point_add(E, Q, Q)
         if Q is None:
             raise OrbitCollisionError(
@@ -463,58 +475,66 @@ def _lambda_arch(E: WeierstrassEquation, x0: Fraction, ctx: PrecisionContext) ->
         return lam
 
 
-def _lambda_finite_all(E: WeierstrassEquation, x0: Fraction, n_terms: int,
-                       ctx: PrecisionContext) -> dict:
-    """lambda_hat_p for every contributing prime, by residue iteration.
+def _ord(q: Fraction, p: int) -> int:
+    """ord_p of a rational; a huge value at 0."""
+    from .elliptic import _val
 
-    With x = A/B in lowest terms and (Phi, Psi) the homogenized duplication
-    quartics, E_p = |gcd(Phi, Psi)|_p and gcd(Phi, Psi) | Delta^2; so the
-    whole finite series lives in the residue ring mod Delta^{2(n_terms+2)}.
+    return _val(q.numerator, p) - _val(q.denominator, p)
+
+
+def _lambda_finite_all(E_int: WeierstrassEquation, P_int) -> dict:
+    """{p: (c_p, case)} with lambda_hat_p = c_p log p on the integral model
+    E_int, c_p a nonzero rational, by Silverman's closed form.
+
+    On the minimal model, with N = ord_p Delta_min, A and B the ord_p of the
+    two partial derivatives 3x^2 + 2a2 x + a4 - a1 y and psi2 = 2y + a1 x + a3
+    at P, and C = ord_p psi3(P) (J. H. Silverman, Computing heights on elliptic
+    curves, Math. Comp. 51, 1988, Thm 5.2; Cremona, Algorithms, section 3.4):
+
+        case 0, A <= 0 or B <= 0 (P meets the smooth part): L = max(0, -ord x);
+        case 1, ord c4 = 0 (multiplicative): M = min(B, N/2), L = M(M - N)/N;
+        case 2, C >= 3B: L = -2B/3;
+        case 3, otherwise: L = -C/4.
+
+    On E_int, with Delta_int = u^12 Delta_min, c_p = L - 2 ord_p u.  L is
+    nonzero only at a prime of den x, or where P meets the singular point,
+    that is where p divides g, the gcd of the two partial derivatives; c_p
+    differs from L only at the primes of u.  So only den x, u and g are
+    factored, never a discriminant (J. H. Silverman, Computing canonical
+    heights with little (or no) factorization, Math. Comp. 66, 1997).  At a
+    prime of den x the derivatives have no common factor, so A <= 0 or B <= 0.
     """
-    from .elliptic import b_invariants
-    from .weierstrass import discriminant
+    from .elliptic import a_invariants, b_invariants, c_invariants, minimal_model_q, model_change_q
 
-    b2, b4, b6, b8 = (int(b) for b in b_invariants(E))
-    delta = int(discriminant(E))
-    A0, B0 = x0.numerator, x0.denominator
-
-    primes = {p for p, _ in finite_valuations(delta)}
-    primes |= {p for p, _ in finite_valuations(B0)} if B0 != 1 else set()
-
-    D2 = delta * delta
-    gcd_ords: list = []
-    if abs(D2) != 1:
-        modulus = abs(D2) ** (n_terms + 2)
-        A, B = A0 % modulus, B0 % modulus
-        for _ in range(n_terms):
-            Phi = (A ** 4 - b4 * A ** 2 * B ** 2 - 2 * b6 * A * B ** 3 - b8 * B ** 4) % modulus
-            Psi = (4 * A ** 3 * B + b2 * A ** 2 * B ** 2 + 2 * b4 * A * B ** 3 + b6 * B ** 4) % modulus
-            G = math.gcd(math.gcd(Phi, Psi), abs(D2))
-            gcd_ords.append(G)
-            if modulus // G < abs(D2):
-                raise NumericError("residue precision exhausted in the finite local height")
-            # residues stay exact: gcd(x mod M, D2) = gcd(x, D2) whenever D2 | M
-            A, B = (Phi // G) % (modulus // G), (Psi // G) % (modulus // G)
-            modulus //= G
-
+    Emin, dmin = minimal_model_q(E_int)
+    change = model_change_q(E_int, Emin)
+    x = (P_int[0] - change.s) / change.u ** 2
+    y = (P_int[1] - change.t[0] - change.t[1] * x) / change.u ** 3
+    a1, a2, a3, a4, _ = a_invariants(Emin)
+    b2, b4, b6, b8 = b_invariants(Emin)
+    c4, _ = c_invariants(Emin)
+    fx = 3 * x * x + 2 * a2 * x + a4 - a1 * y
+    psi2 = 2 * y + a1 * x + a3
+    g = math.gcd(fx.numerator, psi2.numerator)
+    primes = set()
+    for n in (x.denominator, change.u.numerator, g):
+        if n > 1:
+            primes |= set(_factorint(n))
     out = {}
-    with ctx.workprec():
-        for p in sorted(primes):
-            e0 = 0
-            n = B0
-            while n % p == 0:
-                n //= p
-                e0 += 1
-            lam = e0 * mp.log(p)
-            for k, G in enumerate(gcd_ords):
-                e = 0
-                while G % p == 0:
-                    G //= p
-                    e += 1
-                if e:
-                    lam -= e * mp.log(p) / mpf(4) ** (k + 1)
-            if abs(lam) > 0:
-                out[p] = lam
+    for p in sorted(primes):
+        A, B = _ord(fx, p), _ord(psi2, p)
+        if A <= 0 or B <= 0:
+            L, case = Fraction(max(0, -_ord(x, p))), 0
+        elif _ord(c4, p) == 0:
+            N = _ord(Fraction(dmin), p)
+            M = min(Fraction(B), Fraction(N, 2))
+            L, case = M * (M - N) / N, 1
+        else:
+            C = _ord(3 * x ** 4 + b2 * x ** 3 + 3 * b4 * x * x + 3 * b6 * x + b8, p)
+            L, case = (Fraction(-2 * B, 3), 2) if C >= 3 * B else (Fraction(-C, 4), 3)
+        c = L - 2 * _ord(change.u, p)
+        if c:
+            out[p] = (c, case)
     return out
 
 
@@ -539,12 +559,10 @@ def canonical_height_q(E: WeierstrassEquation, P, ctx: PrecisionContext = DEFAUL
     if not point_on_curve(E_int, P_int):
         raise DomainError("point is not on the curve")
     _orbit_collision_check(E_int, P_int)
-    x0 = Fraction(P_int[0])
     with ctx.workprec():
-        n_terms = (ctx.bits + 24) // 2
-        lam_inf = _lambda_arch(E_int, x0, ctx)
-        lam_fin = _lambda_finite_all(E_int, x0, n_terms, ctx)
-        entries = [(Place.finite(p), {"lambda_hat": v}) for p, v in sorted(lam_fin.items())]
+        lam_inf = _lambda_arch(E_int, P_int[0], ctx)
+        entries = [(Place.finite(p), {"lambda_hat": c.numerator * mp.log(p) / c.denominator})
+                   for p, (c, _) in _lambda_finite_all(E_int, P_int).items()]
         entries.append((Place.archimedean(), {"lambda_hat": lam_inf}))
         h = mp.fsum(v for _, comp in entries for v in comp.values())
         extras = {"divisor_O": h / 2, "theta16": 8 * h,

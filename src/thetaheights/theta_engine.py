@@ -85,6 +85,8 @@ class SiegelMatrix:
         g = len(ent)
         if g == 0 or any(len(row) != g for row in ent):
             raise DomainError("tau must be a square matrix")
+        if not all(mp.isfinite(x.real) and mp.isfinite(x.imag) for row in ent for x in row):
+            raise DomainError("tau must be finite")
         m = cls(g=g, entries=ent)
         m._validate(ctx)
         return m

@@ -187,6 +187,58 @@ def test_exit_code_parse_error():
     assert run(["theta", "eval", "--a", "0", "--b", "0", "--tau", "bogus"]) == 2
 
 
+def test_nan_tau_in_theta_eval_is_parse_error(capsys):
+    # exited 1 with a ValueError traceback from the theta sum
+    assert run(["theta", "eval", "--a", "0", "--b", "0", "--tau", '["nan",1.0]']) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_nan_tau_in_check_autissier_is_parse_error():
+    # exited 0 and printed "value": "nan"
+    assert run(["check", "autissier", "--tau", '[0,"nan"]']) == 2
+    assert run(["siegel", "reduce", "--tau", '[0,"nan"]']) == 2
+
+
+def test_infinite_tau_is_parse_error(capsys):
+    # exited 4 asking to raise max_radius, which the CLI has no option for
+    assert run(["theta", "eval", "--a", "0", "--b", "0", "--tau", '[0,"inf"]']) == 2
+    assert run(["theta", "eval", "--a", "0", "--b", "0", "--tau", "[0,1e400]"]) == 2
+    assert run(["theta", "eval", "--a", "0", "--b", "0", "--tau", "[0,1]",
+                "--z", '["nan",0]']) == 2
+    assert "max_radius" not in capsys.readouterr().err
+
+
+def test_non_positive_samples_is_parse_error():
+    # --samples -3 exited 0 having checked nothing
+    assert run(["check", "identities", "--samples", "-3"]) == 2
+    assert run(["check", "identities", "--samples", "0"]) == 2
+
+
+def test_non_positive_count_is_parse_error():
+    # --count -1 exited 0 having checked nothing
+    assert run(["check", "matrix-lemma", "--count", "-1"]) == 2
+    assert run(["check", "matrix-lemma", "--count", "0"]) == 2
+
+
+LARGE_CURVE = json.dumps({"genus": 1, "P": ["123456789012345678901234567890123456789",
+                                            "987654321987654321987654321", "0", "1"], "Q": []})
+
+
+@pytest.mark.parametrize("stable", [False, True])
+def test_elliptic_faltings_large_curve(tmp_path, stable):
+    # |Delta_min| has 83 digits, beyond the factorization budget (this exited
+    # 4); its places are split without factoring, and their alphas still sum
+    # to the Thm 1.1 expression
+    code, doc = run_json(["elliptic", "faltings", "--curve", LARGE_CURVE]
+                         + (["--stable"] if stable else []), tmp_path)
+    assert code == 0
+    labels = [row["place"] for row in doc["places"]]
+    assert labels[-1] == "inf" and any(lab.startswith("d=") for lab in labels)
+    with mp.workprec(200):
+        gap = abs(mp.fsum(mpf(row["alpha"]) for row in doc["places"]) - mpf(doc["total"]))
+    assert gap < mpf(2) ** -90      # the printed 30 digits round each alpha
+
+
 def test_point_with_zero_denominator_is_parse_error():
     assert run(["elliptic", "height", "--curve", E37_CURVE, "--point", "1/0,1"]) == 2
     assert run(["theta", "eval", "--a", "1/0", "--b", "0", "--tau", "[0,1]"]) == 2

@@ -1,6 +1,7 @@
 """Elliptic curves over Q: minimal models, AGM periods, the differential
 height, and the Chowla-Selberg closed form."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,29 +9,30 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from thetaheights import cli, elliptic, weierstrass
+from thetaheights import cli, elliptic, local_heights, weierstrass
 from thetaheights.errors import DomainError
+from thetaheights.precision import PrecisionContext
+from thetaheights.local_heights import _integralize, canonical_height_q
 from thetaheights.elliptic import (
     a_invariants,
     c_invariants,
     chowla_selberg,
     curve_from_a_invariants,
     faltings_elliptic,
-    j_invariant,
+    finite_places,
     kronecker_symbol,
     minimal_model_q,
+    model_change_q,
     periods_agm,
     point_add,
     point_on_curve,
     quadratic_character,
-    stable_finite_exponents,
 )
 from thetaheights.weierstrass import (
     ModelChange,
     WeierstrassEquation,
     apply_model_change,
     discriminant,
-    finite_valuations,
 )
 
 E_CM27 = WeierstrassEquation.make(1, [0, 0, 0, 1], [1])        # y^2 + y = x^3
@@ -114,6 +116,21 @@ def test_minimal_model_recovers_after_scaling():
             E2 = apply_model_change(E, ModelChange.make(u, s, t))
             Em, _ = minimal_model_q(E2)
             assert c_invariants(Em) == (c4m, c6m)
+
+
+def test_model_change_recovers_the_change():
+    rng = random.Random(45)
+    for E in (E_CM27, E_37A, E_LEMN, E_5077A):
+        for _ in range(4):
+            u = Fraction(rng.choice([-6, -1, 2, 3, 5]), rng.choice([1, 2, 7]))
+            c = ModelChange.make(u, rng.randint(-3, 3), [rng.randint(-3, 3), rng.randint(-2, 2)])
+            E2 = apply_model_change(E, c)
+            got = model_change_q(E, E2)
+            assert got.u == abs(u) and apply_model_change(E, got) == E2
+    with pytest.raises(DomainError):
+        model_change_q(E_37A, E_5077A)
+    with pytest.raises(DomainError):
+        model_change_q(E_LEMN, curve_from_a_invariants(0, 0, 0, -4, 0))   # a twist
 
 
 # --- periods ------------------------------------------------------------------
@@ -207,6 +224,29 @@ def test_faltings_positive(ctx):
         assert hs > 0
 
 
+E_LARGE = curve_from_a_invariants(0, 0, 0, 987654321987654321987654321,
+                                  123456789012345678901234567890123456789)
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("stable", [False, True])
+def test_faltings_large_curve_sums_to_thm_expression(bits, stable):
+    # |Delta_min| has 83 digits: trial division leaves a 76-digit composite
+    # block d, which is never factored
+    c = PrecisionContext(bits=bits)
+    h, bd = faltings_elliptic(E_LARGE, c, stable=stable)
+    assert abs(h - bd.total) <= c.eps()
+    _, dmin = minimal_model_q(E_LARGE)
+    assert len(str(abs(dmin))) == 83
+    places, semistable, _ = finite_places(*minimal_model_q(E_LARGE))
+    assert not semistable
+    assert math.prod(d ** e for d, e, _, _ in places) == abs(dmin)
+    blocks = [d for d, _, prime, _ in places if not prime]
+    assert len(blocks) == 1 and len(str(blocks[0])) == 76
+    labels = {pl.label() for pl, _ in bd.entries}
+    assert f"d={blocks[0]}" in labels
+
+
 def test_faltings_semistable_has_no_warning(ctx):
     h, bd = faltings_elliptic(E_37A, ctx)
     assert not any("semistable" in w for w in bd.warnings)
@@ -215,16 +255,15 @@ def test_faltings_semistable_has_no_warning(ctx):
 
 
 def test_stable_exponents():
-    def stable(E):
-        Emin, dmin = minimal_model_q(E)
-        return stable_finite_exponents(j_invariant(Emin), finite_valuations(dmin))
+    # (d, e, prime, d-part of den j): the stable exponent at a place is read
+    # from den j = |Delta_min| / gcd(Delta_min, c4^3), semistability from
+    # gcd(c4, Delta_min) = 1
+    def places(E):
+        return finite_places(*minimal_model_q(E))
 
-    exps, semi = stable(E_CM27)
-    assert exps == [(3, 0)] and not semi
-    exps, semi = stable(E_37A)
-    assert exps == [(37, 1)] and semi
-    exps, semi = stable(E_LEMN)   # Delta = 64, j = 1728
-    assert exps == [(2, 0)] and not semi
+    assert places(E_CM27) == ([(3, 3, True, 1)], False, 1)       # j = 0
+    assert places(E_37A) == ([(37, 1, True, 37)], True, 37)
+    assert places(E_LEMN) == ([(2, 6, True, 1)], False, 1)       # Delta = 64, j = 1728
 
 
 def _count_calls(monkeypatch, module, name, log):
@@ -237,9 +276,59 @@ def _count_calls(monkeypatch, module, name, log):
     monkeypatch.setattr(module, name, counted)
 
 
+def _factorint_allowed(E, P):
+    """What the elliptic heights may factor for (E, P): gcd(c4, c6) of an
+    integral rescaling of E (the minimal model's own, or canonical_height_q's
+    integralized model), the lcm of the c-invariant denominators, and on
+    the minimal model the denominator of x(P), the scale u from the
+    integralized model, and g, the gcd of the two partial derivatives at P."""
+    c4, c6 = c_invariants(E)
+    m = math.lcm(c4.denominator, c6.denominator)
+    allowed = {m}
+    for k in (m * 2 ** i * 3 ** j for i in range(4) for j in range(4)):
+        if (c4 * k ** 4).denominator == (c6 * k ** 6).denominator == 1:
+            allowed.add(math.gcd(int(c4 * k ** 4), int(c6 * k ** 6)))
+    E_int, (x, y) = _integralize(E, P)
+    allowed.add(math.gcd(*(int(c) for c in c_invariants(E_int))))
+    Emin, _ = minimal_model_q(E)
+    c = model_change_q(E_int, Emin)
+    x, y = (x - c.s) / c.u ** 2, (y - c.t[0] - c.t[1] * (x - c.s) / c.u ** 2) / c.u ** 3
+    a1, a2, a3, a4, _ = a_invariants(Emin)
+    g = math.gcd((3 * x * x + 2 * a2 * x + a4 - a1 * y).numerator,
+                 (2 * y + a1 * x + a3).numerator)
+    return allowed | {x.denominator, int(c.u), g}
+
+
+@pytest.mark.parametrize("E, P", [
+    (E_5077A, (-2, 3)),
+    (E_37A, (Fraction(1, 4), Fraction(-5, 8))),                      # [5](0, 0)
+    (curve_from_a_invariants(0, 0, 0, Fraction(-7, 16), Fraction(1, 64)),
+     (0, Fraction(1, 8))),                                           # a non-integral model
+    (WeierstrassEquation.make(1, [17 * 6 ** 6, 0, 0, 1], []), (2 * 36, 5 * 216)),  # u = 6
+])
+def test_factorint_never_sees_a_discriminant(E, P, monkeypatch, ctx):
+    # faltings_elliptic and canonical_height_q factor only gcd(c4, c6), model
+    # denominators, g and den x: never Delta, Delta_min or a multiple of either
+    P = (Fraction(P[0]), Fraction(P[1]))
+    assert point_on_curve(E, P)
+    allowed = _factorint_allowed(E, P)
+    _, dmin = minimal_model_q(E)
+    discs = [dmin, discriminant(E).numerator, discriminant(_integralize(E, P)[0]).numerator]
+    log = []
+    for module, name in [(weierstrass, "_factorint"), (elliptic, "_factorint"),
+                         (local_heights, "_factorint"), (weierstrass, "finite_valuations")]:
+        _count_calls(monkeypatch, module, name, log)
+    faltings_elliptic(E, ctx)
+    canonical_height_q(E, P, ctx)
+    assert log and all(name == "_factorint" for name, _ in log)
+    for _, n in log:
+        assert n in allowed, n
+        assert all(n % d for d in discs if abs(d) > 1), n
+
+
 def test_curve_data_computed_once(monkeypatch, tmp_path, ctx):
-    # the minimal model, the factorisation of |Delta_min| and the period
-    # lattice are each computed once per curve, in the library and the CLI
+    # the minimal model and the period lattice are each computed once per
+    # curve, in the library and the CLI, and no discriminant is factored
     log = []
     for module, name in [(elliptic, "minimal_model_q"), (elliptic, "periods_agm"),
                          (weierstrass, "_factorint"), (elliptic, "_factorint")]:
@@ -247,7 +336,7 @@ def test_curve_data_computed_once(monkeypatch, tmp_path, ctx):
     dmin = 5077
     faltings_elliptic(E_5077A, ctx)
     assert [n for n, _ in log].count("minimal_model_q") == 1
-    assert log.count(("_factorint", dmin)) == 1
+    assert not any(name == "_factorint" and n % dmin == 0 for name, n in log)
     log.clear()
     curve = '{"genus":1,"P":["6","-7","0","1"],"Q":["1"]}'
     assert cli.run(["elliptic", "decompose", "--curve", curve,
@@ -255,7 +344,7 @@ def test_curve_data_computed_once(monkeypatch, tmp_path, ctx):
     names = [n for n, _ in log]
     assert names.count("minimal_model_q") == 1
     assert names.count("periods_agm") == 1
-    assert log.count(("_factorint", dmin)) == 1
+    assert not any(name == "_factorint" and n % dmin == 0 for name, n in log)
 
 
 # --- Chowla-Selberg ---------------------------------------------------------------

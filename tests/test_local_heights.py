@@ -9,12 +9,15 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from autissier_quadrature import autissier_quadrature, theta_norm_grid
+from residue_heights import ec_batch_cases, residue_lambdas
 from thetaheights.elliptic import curve_from_a_invariants, point_add, point_neg
 from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
+    _integralize,
     _kummer_double,
     _kummer_line,
     _kummer_read_back,
+    _lambda_finite_all,
     alpha_arch,
     alpha_finite,
     autissier_integral,
@@ -495,6 +498,56 @@ def test_canonical_height_model_invariance(ctx):
     h1, _ = canonical_height_q(E, P, ctx)
     h2, _ = canonical_height_q(E2, (x2, y2), ctx)
     assert abs(h1 - h2) < mpf(10) ** -20
+
+
+# --- finite places: Silverman's closed form against the residue iteration -------
+
+
+def _oracle_curve_points():
+    """The elliptic test curves with points of each kind: integral, with a
+    denominator, on a non-integral model, and on a non-minimal one (u = 6)."""
+    E_5077A = WeierstrassEquation.make(1, [6, -7, 0, 1], [1])
+    E_NONINT = curve_from_a_invariants(0, 0, 0, Fraction(-7, 16), Fraction(1, 64))
+    E_U6 = curve_from_a_invariants(0, 0, 0, 0, 17 * 6 ** 6)
+    out = [(E_37A, (Fraction(1, 4), Fraction(-5, 8))),
+           (E_5077A, (Fraction(-1), Fraction(3))), (E_5077A, (Fraction(0), Fraction(2))),
+           (E_5077A, point_add(E_5077A, (Fraction(-2), Fraction(3)), (Fraction(-1), Fraction(3)))),
+           (E_NONINT, (Fraction(0), Fraction(1, 8))), (E_U6, (Fraction(72), Fraction(1080)))]
+    out += CURVE_POINTS
+    return out + [(E, point_add(E, P, P)) for E, P in out]
+
+
+def _finite_gap(fin: dict, E, P, bits: int) -> mpf:
+    """Largest gap between {p: lambda_p} and the residue oracle at bits."""
+    c = PrecisionContext(bits=bits)
+    E_int, P_int = _integralize(E, P)
+    oracle = residue_lambdas(E_int, P_int[0], set(fin), c)
+    return max((abs(fin[p] - oracle[p]) for p in fin), default=mpf(0))
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_canonical_height_places_match_residue_oracle(bits):
+    # every finite place of the breakdown, against the duplication series
+    for E, P in _oracle_curve_points():
+        _, bd = canonical_height_q(E, P, PrecisionContext(bits=bits))
+        fin = {pl.p: comp["lambda_hat"] for pl, comp in bd.entries if pl.kind == "finite"}
+        assert _finite_gap(fin, E, P, bits) <= mpf(2) ** -bits
+
+
+def test_closed_form_matches_residue_oracle_on_ec_batch_decks():
+    # 204 deck answers (block 0 of seeds 1-17) and the test curves, at 64 and
+    # 128 bits; each of Silverman's four cases occurs
+    cases = ec_batch_cases(range(1, 18)) + _oracle_curve_points()
+    branches = [0] * 4
+    for E, P in cases:
+        fin = _lambda_finite_all(*_integralize(E, P))
+        for c, case in fin.values():
+            branches[case] += 1
+        for bits in (64, 128):
+            with mp.workprec(bits + 32):
+                lam = {p: c.numerator * mp.log(p) / c.denominator for p, (c, _) in fin.items()}
+            assert _finite_gap(lam, E, P, bits) <= mpf(2) ** -bits, (E, P)
+    assert min(branches) > 0, branches
 
 
 # --- Autissier's integral -----------------------------------------------------------

@@ -436,6 +436,20 @@ def test_siegel_matrix_validation(ctx):
         as_siegel([[mpc(0, 2), mpc(0, "1.9")], [mpc(0, "1.9"), mpc(0, 2)]], g=1, ctx=ctx)
 
 
+@pytest.mark.parametrize("tau", [mpc("nan", 1), mpc(0, "inf"), mpc("-inf", 1)])
+def test_non_finite_tau_is_refused(tau, ctx):
+    # NaN used to pass the pivot check and fail later with a ValueError
+    with pytest.raises(DomainError, match="finite"):
+        SiegelMatrix.from_scalar(tau, ctx)
+    with pytest.raises(DomainError, match="finite"):
+        SiegelMatrix.from_rows([[mpc(0, 1), 0], [0, tau]], ctx)
+
+
+def test_non_finite_z_is_refused(ctx):
+    with pytest.raises(DomainError, match="finite"):
+        theta_char(char(0, 0), mpc("nan", 0), mpc(0, 1), ctx)
+
+
 def test_min_imag_eigenvalue_matches_numpy_eigvalsh(ctx):
     import numpy as np
 

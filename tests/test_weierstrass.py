@@ -19,8 +19,11 @@ from thetaheights.weierstrass import (
     apply_model_change,
     char_system,
     discriminant,
+    TRIAL_DIVISION_BOUND,
+    _iroot,
     finite_valuations,
     parse_curve_spec,
+    split_places,
 )
 
 HALF = Fraction(1, 2)
@@ -217,6 +220,36 @@ def test_finite_valuations_rational_and_errors():
         finite_valuations(0)
     with pytest.raises(ResourceError):
         finite_valuations(10 ** 100 + 7)
+
+
+def test_iroot_is_the_integer_root():
+    rng = random.Random(37)
+    for _ in range(200):
+        n, k = rng.randrange(1, 10 ** rng.randint(1, 90)), rng.randint(2, 13)
+        r = _iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+    assert _iroot(0, 12) == 0 and _iroot(3 ** 120, 12) == 3 ** 10
+
+
+def test_split_places_without_factoring():
+    p, q = 1000003, 1000033                  # primes above the trial bound
+    assert p > TRIAL_DIVISION_BOUND and sympy.isprime(p) and sympy.isprime(q)
+    assert split_places(-27) == [(3, 3, True)]
+    assert split_places(16 * 5077) == [(2, 4, True), (5077, 1, True)]
+    assert split_places(7 * p ** 6) == [(7, 1, True), (p, 6, True)]
+    # a composite cofactor stays one block; a power of it is found exactly
+    assert split_places(-12 * (p * q) ** 3) == [(2, 2, True), (3, 1, True), (p * q, 3, False)]
+    assert split_places(p ** 2 * q ** 3) == [(p ** 2 * q ** 3, 1, False)]
+    rng = random.Random(39)
+    for _ in range(50):
+        n = rng.randrange(1, 10 ** 40)
+        places = split_places(n)
+        assert math.prod(d ** e for d, e, _ in places) == n
+        assert all(math.gcd(a, b) == 1 for i, (a, _, _) in enumerate(places)
+                   for b, _, _ in places[i + 1:])
+        assert all(prime == sympy.isprime(d) for d, _, prime in places)
+    with pytest.raises(DomainError):
+        split_places(0)
 
 
 def test_integrality_for_integral_even_free_models():
