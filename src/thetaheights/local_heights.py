@@ -9,10 +9,10 @@ P^1: the squared duplication quartics step the point, and the Jacobi
 quadrics read t1^2 and t2^2 back from it.  The walk runs in fixed point at
 the reduced tau, with 2 log2 rho + 8 extra bits for the distortion of the
 Kummer coordinate, rho the spread of the squared theta nulls (about
-e^{pi Im tau / 2} / 2; see _duplication_orbit).  The walk yields integer
-sizes s_n with E_n = c sqrt(s_n 2^-P), and mu_arch_series sums the
-4^{-n-1}-weighted logs as the log of one product, built by Horner's rule on
-an integer mantissa and exponent: one logarithm for the whole series.
+e^{pi Im tau / 2} / 2; see _duplication_orbit).  After each doubling it
+shifts the point by a power of two back to P bits and keeps the exponent, so
+the telescoped series needs only the last point's norm: mu_arch_series takes
+two logarithms for the whole series, log c and log ||T_N||.
 mu_arch_closed evaluates the telescoped limit -log N(2z) + (1/3) log c from
 direct theta sums; beta_arch reads the same N(2z), so 2(beta - mu_closed) =
 alpha by algebra, and only the orbit series makes the decomposition a check.
@@ -34,8 +34,9 @@ point sums local heights: at the archimedean place a real iteration of the
 telescoping series, at each prime p an exact rational multiple of log p read
 from Silverman's closed form on the minimal model (1988, Thm 5.2; see
 _lambda_finite_all), carried to the integralized input model by the scale u
-of the model change.  Only the denominator of x(P), u, and the gcd of the two
-partial derivatives at P are factored; no discriminant is.  The residue
+of the model change.  Only u and the gcd of the two partial derivatives at P
+are factored; the rest of the denominator of x(P) is split into blocks
+without factoring, and no discriminant is factored.  The residue
 iteration of the duplication series, which the closed form replaced, is the
 test suite's oracle for it.
 """
@@ -53,7 +54,7 @@ from .precision import DEFAULT_CTX, PrecisionContext
 from .siegel import reduce_g1
 from .theta_engine import (MIN_IMAG_EIGENVALUE, SiegelMatrix, _fixed, _fmul, as_siegel,
                            jacobi_thetas, modular_discriminant, theta_norm)
-from .weierstrass import WeierstrassEquation, _factorint, _isprime
+from .weierstrass import WeierstrassEquation, _factorint, _isprime, split_places
 
 
 # --- places and breakdowns ------------------------------------------------
@@ -136,10 +137,12 @@ def _form_constant(nulls) -> mpf:
 
 
 def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> tuple:
-    """(c, sizes, P): E at w, 2w, ..., 2^{n_terms-1} w from one theta evaluation at w.
+    """(c, S, K, P): the orbit w, 2w, ..., 2^{n_terms} w from one theta evaluation at w.
 
     c is the form constant, P the fixed-point precision of the walk, and the
-    n-th of the positive integers sizes gives E(2^n w) = c sqrt(s_n 2^-P).
+    point T reached after n_terms doublings of T(w), scaled to ||T(w)|| = 1,
+    has ||T||^2 = S 2^(K - P), S a positive integer of about P bits and K an
+    integer.
 
     E(w) = c ||T(2w)|| / ||T(w)||^4 is homogeneous of degree 4 over degree 4,
     so it can be read off any scaling of the projective point T = (t1:t2:t3:t4):
@@ -151,10 +154,11 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> tuple:
 
     The orbit runs on the Kummer line (X : Y) = (t3^2 : t4^2), which is P^1
     (Gaudry, Fast genus 2 arithmetic based on Theta functions, J. Math.
-    Cryptol. 1, 2007).  With n_i the nulls, the Jacobi quadrics read the other
-    two squares back,
+    Cryptol. 1, 2007).  With n_i the nulls, the Jacobi quadrics, folded by
+    Jacobi's identity n3^4 = n2^4 + n4^4, read the other two squares back as
+    linear forms,
 
-        t2^2 = (n3^2 X - n4^2 Y) / n2^2,   t1^2 = (n2^2 X - n3^2 t2^2) / n4^2,
+        t1^2 = (n3^2 Y - n4^2 X) / n2^2,   t2^2 = (n3^2 X - n4^2 Y) / n2^2,
 
     so ||T||^2 = |t1^2| + |t2^2| + |X| + |Y|, and the duplication quartics
     t3(2w) n3^3 = t3^4 + t1^4, t4(2w) n4^3 = t4^4 - t1^4 square to
@@ -163,26 +167,31 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> tuple:
 
     Every point of P^1 is a point of the curve, so rounding cannot push the
     orbit off it.  The walk runs in fixed point, Python integers in units of
-    2^-P as in theta_engine._walk, and rescales the point to unit norm after
-    every step, so that E = c ||T'|| and ||T'||^2 = s_n 2^-P, s_n the
-    integer size of the new point.
+    2^-P as in theta_engine._walk (see _kummer_step).  After each doubling it
+    shifts X and Y by k_n bits (right if k_n > 0), so that the largest of
+    their four integers has P bits, and keeps the exact scale as
+    K <- 4 K + k_n: the quartics are homogeneous of degree 4, so a scale 2^K
+    on the squares before a step is 2^{4K} after it.
 
-    Precision.  A rounding error d in the unit-norm point moves w by up to
-    D d, D the largest |dw/dx| of the Kummer coordinate.  The doublings carry
-    that to 2^{n-k} D d at step n, where log E changes by a bounded multiple
-    of it under the weight 4^{-n-1}: an error made at step k costs
-    O(4^{-k} D d) of the sum, so the first steps dominate.  D grows like
-    rho^2, rho = ||n||^2 / min |n_i|^2 the spread of the squared nulls, and
-    rho also bounds the read-back, whose division by n2^2 cancels leading
-    digits.  On the fundamental domain n2 is a smallest null and
-    log2 rho <= pi Im tau / (2 log 2) (rho is about e^{pi Im tau / 2} / 2),
-    so the sum loses about 2 log2 rho bits, that is pi Im tau / log 2.
-    Measured with no extra bits: 2 log2 rho - 8 lost at Im tau = 20, and up
-    to 2 log2 rho + 4 near Im tau = 1, where the per-step rounding
-    dominates.  Off the fundamental domain (t3^2 : t4^2) is worse
-    conditioned (near the cusp 0 the divisions by n4 lose over 3 log2 rho),
-    which is why the orbit runs at the reduced tau.  The nulls, the thetas
-    at w and the walk all run at
+    Precision.  After the shift the largest of the four integers lies in
+    [2^(P-1), 2^P], so a rounding of half a unit, in one of the nine products
+    of a step or in the shift, errs by at most 2^-P relative to max(|X|, |Y|).
+    Such a relative error d moves w by up to D d, D the largest |dw/dx| of
+    the Kummer coordinate.  The doublings carry that to 2^{n-k} D d at step
+    n, where log E changes by a bounded multiple of it under the weight
+    4^{-n-1}: an error made at step k costs O(4^{-k} D d) of the sum, so the
+    first steps dominate.  D grows like rho^2, rho = ||n||^2 / min |n_i|^2
+    the spread of the squared nulls, and rho also bounds the read-back, whose
+    division by n2^2 cancels leading digits.  On the fundamental domain n2 is
+    a smallest null and log2 rho <= pi Im tau / (2 log 2) (rho is about
+    e^{pi Im tau / 2} / 2), so the sum loses about 2 log2 rho bits, that is
+    pi Im tau / log 2.  Measured with no extra bits and no guard, at 128 and
+    256 bits: 2 log2 rho - 10 lost at Im tau = 20, and up to 2 log2 rho - 0.6
+    near Im tau = 1, where the per-step rounding dominates.  Off the
+    fundamental domain (t3^2 : t4^2) is worse conditioned (near the cusp 0
+    the divisions by n4 lose over 3 log2 rho), which is why the orbit runs
+    at the reduced tau.
+    The nulls, the thetas at w and the walk all run at
     P = bits + guard + 2 ceil(pi Im tau / (2 log 2)) + 8, Im tau reduced.
     The caller's tau must still clear the Im tau >= 0.1 floor of the theta
     sums.
@@ -205,50 +214,45 @@ def _duplication_orbit(w, tau, n_terms: int, ctx: PrecisionContext) -> tuple:
     ths = jacobi_thetas(reduce_point_mod_lattice(w, tau, hi), tau, hi)
     with hi.workprec():
         form = _form_constant(nulls)
-        line = _kummer_line(nulls, prec)
+        s2, s3, s4 = (v * v for v in nulls)
+        line = tuple(_fixed(v, prec) for v in (s3 / s2, s4 / s2, 1 / s3 ** 3, 1 / s4 ** 3))
         pts = [v * v for v in ths]
         size = mp.fsum(abs(v) for v in pts)
         A, _, X, Y = (_fixed(v / size, prec) for v in pts)       # t1^2, t2^2, t3^2, t4^2
-    one = 1 << prec
-    sizes = []
+    K = 0
     for _ in range(n_terms):
-        X, Y = _kummer_double(X, Y, A, line, prec)
-        A, B = _kummer_read_back(X, Y, line, prec)
-        size = sum(math.isqrt(v[0] * v[0] + v[1] * v[1]) for v in (A, B, X, Y))
-        sizes.append(size)
-        X, Y, A = (((v[0] * one + size // 2) // size, (v[1] * one + size // 2) // size)
-                   for v in (X, Y, A))
-    return form, sizes, prec
+        X, Y, A, k = _kummer_step(X, Y, A, line, prec)
+        K = 4 * K + k
+    u, v = _fmul(line[0], X, prec), _fmul(line[1], Y, prec)
+    B = u[0] - v[0], u[1] - v[1]                                 # t2^2
+    S = sum(math.isqrt(v[0] * v[0] + v[1] * v[1]) for v in (A, B, X, Y))
+    return form, S, K, prec
 
 
-def _kummer_line(nulls, prec: int) -> tuple:
-    """The constants of the Kummer line in units of 2^-prec: n3^2/n2^2,
-    n4^2/n2^2, n2^2/n4^2, n3^2/n4^2 for the read-back, 1/n3^6 and 1/n4^6
-    for the duplication."""
-    s2, s3, s4 = (v * v for v in nulls)
-    return tuple(_fixed(v, prec) for v in (s3 / s2, s4 / s2, s2 / s4, s3 / s4,
-                                           1 / s3 ** 3, 1 / s4 ** 3))
+def _kummer_step(X, Y, A, line, prec: int) -> tuple:
+    """(X', Y', A', k): the Kummer point (X : Y) = (t3^2 : t4^2) and A = t1^2
+    at w stepped to 2w and scaled by 2^-k.
 
-
-def _kummer_read_back(X, Y, line, prec: int) -> tuple:
-    """(t1^2, t2^2) of the Kummer point (X : Y) = (t3^2 : t4^2), by the Jacobi
-    quadrics; fixed point, on the same scale as X and Y."""
-    r32, r42, r24, r34 = line[:4]
-    u, v = _fmul(r32, X, prec), _fmul(r42, Y, prec)
-    t2 = u[0] - v[0], u[1] - v[1]
-    u, v = _fmul(r24, X, prec), _fmul(r34, t2, prec)
-    return (u[0] - v[0], u[1] - v[1]), t2
-
-
-def _kummer_double(X, Y, A, line, prec: int) -> tuple:
-    """(X, Y) at 2w from (X, Y) and A = t1^2 at w, by the squared quartics
-    X' = ((X^2 + A^2) / n3^3)^2, Y' = ((Y^2 - A^2) / n4^3)^2; fixed point,
-    homogeneous of degree 4."""
+    Fixed point in units of 2^-prec, line = (n3^2/n2^2, n4^2/n2^2, 1/n3^6,
+    1/n4^6).  The squared quartics X' = ((X^2 + A^2) / n3^3)^2 and
+    Y' = ((Y^2 - A^2) / n4^3)^2, homogeneous of degree 4, are shifted by k
+    bits, rounded, so that the largest of their four integers has prec bits;
+    then A' = (n3^2 Y' - n4^2 X') / n2^2 on the same scale.  Nine products.
+    """
+    r32, r42, i3, i4 = line
     p = _fmul(A, A, prec)
     x2, y2 = _fmul(X, X, prec), _fmul(Y, Y, prec)
     u = x2[0] + p[0], x2[1] + p[1]
     v = y2[0] - p[0], y2[1] - p[1]
-    return _fmul(line[4], _fmul(u, u, prec), prec), _fmul(line[5], _fmul(v, v, prec), prec)
+    (a, b), (c, d) = _fmul(i3, _fmul(u, u, prec), prec), _fmul(i4, _fmul(v, v, prec), prec)
+    k = max(a.bit_length(), b.bit_length(), c.bit_length(), d.bit_length()) - prec
+    if k > 0:
+        h = 1 << (k - 1)
+        X, Y = ((a + h) >> k, (b + h) >> k), ((c + h) >> k, (d + h) >> k)
+    else:
+        X, Y = (a << -k, b << -k), (c << -k, d << -k)
+    u, v = _fmul(r32, Y, prec), _fmul(r42, X, prec)
+    return X, Y, (u[0] - v[0], u[1] - v[1]), k
 
 
 def prop_envelope(tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
@@ -274,19 +278,6 @@ def prop_envelope(tau, ctx: PrecisionContext = DEFAULT_CTX) -> tuple:
         return lower, upper
 
 
-def mu_arch_terms(z, tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> list:
-    """The first n_terms values E([2^n] P), n = 0, 1, ..., with P at w = 2z.
-
-    The Jacobi thetas are evaluated once, at the lattice-reduced 2z, and the
-    orbit walks the Kummer line (t3^2 : t4^2); see _duplication_orbit for the
-    steps and the precision they need.
-    """
-    with ctx.workprec():
-        c, sizes, prec = _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
-    with mp.workprec(prec):
-        return [c * mp.sqrt(mp.ldexp(s, -prec)) for s in sizes]
-
-
 def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
     """Bound on the mu-series tail after n_terms, from the uniform envelope."""
     lower, upper = prop_envelope(tau, ctx)
@@ -297,45 +288,39 @@ def mu_tail_bound(tau, n_terms: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpf
 
 def mu_arch_series(z, tau, n_terms: int | None = None,
                    ctx: PrecisionContext = DEFAULT_CTX) -> mpf:
-    """Partial sum of mu(P) = sum 4^{-n-1} log E([2^n] P), with one logarithm.
+    """Partial sum of mu(P) = sum 4^{-n-1} log E([2^n] P), with two logarithms.
 
     n_terms defaults to (bits + 24) // 2: 4^-n_terms <= 2^-(bits+23) puts
     mu_tail_bound below 1e-5 2^-bits for Im tau up to 200 at 64-256 bits.
 
-    The terms are E_n = c sqrt(x_n), x_n = s_n 2^-P (see _duplication_orbit),
-    so over the N terms
+    The terms are E_n = c ||T_{n+1}|| / ||T_n||^4 along the orbit T_n of the
+    duplication quartics from ||T_0|| = 1 (see _duplication_orbit), so over
+    the N terms the sum telescopes:
 
-        sum_{n<N} 4^{-n-1} log E_n = ((1 - 4^-N) / 3) log c + (1/2) 4^-N log H,
+        sum_{n<N} 4^{-n-1} log E_n = ((1 - 4^-N) / 3) log c + 4^-N log ||T_N||
+                                   = ((1 - 4^-N) / 3) log c
+                                     + (1/2) 4^-N (log S + (K - P) log 2),
 
-    H = prod_{n<N} x_n^{4^{N-1-n}}, which Horner's rule builds as H <- H^4 x_n.
-    H is kept as man 2^ex: an integer mantissa of W = P bits and an integer
-    exponent, stepped as man <- man^4 s_n rounded to W bits, ex <- 4 ex - P
-    plus the bits rounded off.  Error: the rounding at step n errs
-    relatively by at most 2^-W, so it moves log H by less than 2^{1-W}, and
-    each later step multiplies that by 4; the rounding at step n thus weighs
-    4^{N-1-n} 2^{1-W} in log H and 4^{-n-1} 2^{-W} after the scale
-    (1/2) 4^-N, less than 2^-W / 3 over all n.  The logarithms are taken at
-    P + ceil(log2 P) bits, log 2 included, so that the exponent term
-    (1/2) 4^-N ex log 2, with |4^-N ex| up to about P, keeps its absolute
-    error near 2^-P as well.  No term is rounded on its own, so the sum errs
-    by a few 2^-P beyond the walk's own rounding, far below the
-    2^-(bits+guard) of the result's final rounding.
+    with ||T_N||^2 = S 2^(K - P) from the walk.  Error: the scale K is an
+    exact integer, and 4^-N (K - P) is split exactly into an integer and a
+    remainder over 4^N.  Each step's rounding enters the sum as it would
+    enter the quotient E_n of the rounded points.  S >= 2^(P-1) is a sum of
+    four isqrt, below its value by less than 4, so (1/2) 4^-N log S errs by
+    less than 2^(2-P).  The logarithms are taken at P + ceil(log2 P) bits,
+    log 2 included, so that the exponent term, up to about P in size, keeps
+    its absolute error near 2^-P as well.  The sum thus errs by a few 2^-P
+    beyond the walk's own rounding, far below the 2^-(bits+guard) of the
+    result's final rounding.
     """
     if n_terms is None:
         n_terms = (ctx.bits + 24) // 2
     with ctx.workprec():
-        c, sizes, prec = _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
-    man, ex = 1, 0                           # H = man 2^ex
-    for s in sizes:
-        man, ex = man ** 4 * s, 4 * ex - prec
-        drop = max(0, man.bit_length() - prec)
-        man, ex = (man + (1 << drop >> 1)) >> drop, ex + drop
-    N = len(sizes)
-    quo, rem = divmod(ex, 4 ** N)            # 4^-N ex = quo + rem 4^-N, exactly
+        c, S, K, prec = _duplication_orbit(2 * mpc(z), tau, n_terms, ctx)
+    quo, rem = divmod(K - prec, 4 ** n_terms)   # 4^-N (K - P) = quo + rem 4^-N, exactly
     with mp.workprec(prec + math.ceil(math.log2(prec))):
-        scale = mp.ldexp(1, -2 * N)
-        total = ((1 - scale) / 3 * mp.log(c) + scale * mp.log(man) / 2
-                 + (quo + mp.ldexp(rem, -2 * N)) * mp.ln2 / 2)
+        scale = mp.ldexp(1, -2 * n_terms)
+        total = ((1 - scale) / 3 * mp.log(c)
+                 + (scale * mp.log(S) + (quo + mp.ldexp(rem, -2 * n_terms)) * mp.ln2) / 2)
     with ctx.workprec():
         return +total
 
@@ -483,8 +468,8 @@ def _ord(q: Fraction, p: int) -> int:
 
 
 def _lambda_finite_all(E_int: WeierstrassEquation, P_int) -> dict:
-    """{p: (c_p, case)} with lambda_hat_p = c_p log p on the integral model
-    E_int, c_p a nonzero rational, by Silverman's closed form.
+    """{p: (c_p, case, prime)} with lambda_hat_p = c_p log p on the integral
+    model E_int, c_p a nonzero rational, by Silverman's closed form.
 
     On the minimal model, with N = ord_p Delta_min, A and B the ord_p of the
     two partial derivatives 3x^2 + 2a2 x + a4 - a1 y and psi2 = 2y + a1 x + a3
@@ -499,10 +484,15 @@ def _lambda_finite_all(E_int: WeierstrassEquation, P_int) -> dict:
     On E_int, with Delta_int = u^12 Delta_min, c_p = L - 2 ord_p u.  L is
     nonzero only at a prime of den x, or where P meets the singular point,
     that is where p divides g, the gcd of the two partial derivatives; c_p
-    differs from L only at the primes of u.  So only den x, u and g are
-    factored, never a discriminant (J. H. Silverman, Computing canonical
-    heights with little (or no) factorization, Math. Comp. 66, 1997).  At a
-    prime of den x the derivatives have no common factor, so A <= 0 or B <= 0.
+    differs from L only at the primes of u.  At a prime of den x the
+    derivatives have no common factor, so A <= 0 or B <= 0 and p does not
+    divide g: there c_p = ord_p den x unless p divides u.  So only u and g are
+    factored, never a discriminant nor den x (J. H. Silverman, Computing
+    canonical heights with little (or no) factorization, Math. Comp. 66,
+    1997).  The part d of den x prime to u goes to weierstrass.split_places,
+    and each of its blocks d_i^e, prime or not, is one place with c = e:
+    sum_{p | d_i} ord_p(den x) log p = e log d_i.  prime is False on a
+    composite block, whose key is d_i.
     """
     from .elliptic import a_invariants, b_invariants, c_invariants, minimal_model_q, model_change_q
 
@@ -516,11 +506,14 @@ def _lambda_finite_all(E_int: WeierstrassEquation, P_int) -> dict:
     fx = 3 * x * x + 2 * a2 * x + a4 - a1 * y
     psi2 = 2 * y + a1 * x + a3
     g = math.gcd(fx.numerator, psi2.numerator)
+    u, d = change.u.numerator, x.denominator
+    while (k := math.gcd(d, u)) > 1:
+        d //= k
+    out = {b: (Fraction(e), 0, prime) for b, e, prime in split_places(d)}
     primes = set()
-    for n in (x.denominator, change.u.numerator, g):
+    for n in (u, g):
         if n > 1:
             primes |= set(_factorint(n))
-    out = {}
     for p in sorted(primes):
         A, B = _ord(fx, p), _ord(psi2, p)
         if A <= 0 or B <= 0:
@@ -534,8 +527,8 @@ def _lambda_finite_all(E_int: WeierstrassEquation, P_int) -> dict:
             L, case = (Fraction(-2 * B, 3), 2) if C >= 3 * B else (Fraction(-C, 4), 3)
         c = L - 2 * _ord(change.u, p)
         if c:
-            out[p] = (c, case)
-    return out
+            out[p] = (c, case, True)
+    return dict(sorted(out.items()))
 
 
 def canonical_height_q(E: WeierstrassEquation, P, ctx: PrecisionContext = DEFAULT_CTX):
@@ -561,8 +554,9 @@ def canonical_height_q(E: WeierstrassEquation, P, ctx: PrecisionContext = DEFAUL
     _orbit_collision_check(E_int, P_int)
     with ctx.workprec():
         lam_inf = _lambda_arch(E_int, P_int[0], ctx)
-        entries = [(Place.finite(p), {"lambda_hat": c.numerator * mp.log(p) / c.denominator})
-                   for p, (c, _) in _lambda_finite_all(E_int, P_int).items()]
+        entries = [(Place.finite(p, prime=prime),
+                    {"lambda_hat": c.numerator * mp.log(p) / c.denominator})
+                   for p, (c, _, prime) in _lambda_finite_all(E_int, P_int).items()]
         entries.append((Place.archimedean(), {"lambda_hat": lam_inf}))
         h = mp.fsum(v for _, comp in entries for v in comp.values())
         extras = {"divisor_O": h / 2, "theta16": 8 * h,

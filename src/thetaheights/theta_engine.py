@@ -236,8 +236,9 @@ def _truncation_radius(g: int, lam: float, t: float, a_norm: float,
     for _ in range(200):
         if N > ctx.max_radius:
             raise ResourceError(
-                f"theta truncation radius {N} exceeds cap {ctx.max_radius}; "
-                "raise max_radius or reduce tau/z first")
+                f"theta truncation radius {N} exceeds the cap of {ctx.max_radius} per axis: "
+                "Im z is too far from the lattice cell of tau, or the precision too high; "
+                "reduce z modulo Z^g + tau Z^g and Siegel-reduce tau first")
         total = -math.inf
         m = N + 1
         ok = False

@@ -208,6 +208,14 @@ def test_infinite_tau_is_parse_error(capsys):
     assert "max_radius" not in capsys.readouterr().err
 
 
+def test_truncation_radius_refusal_gives_no_unavailable_advice(capsys):
+    # exited 4 telling the user to "raise max_radius", which no option sets
+    assert run(["theta", "eval", "--a", "0", "--b", "0", "--z", "[0,1e4]",
+                "--tau", "[0,1]"]) == 4
+    err = capsys.readouterr().err
+    assert "truncation radius" in err and "max_radius" not in err
+
+
 def test_non_positive_samples_is_parse_error():
     # --samples -3 exited 0 having checked nothing
     assert run(["check", "identities", "--samples", "-3"]) == 2

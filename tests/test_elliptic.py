@@ -25,6 +25,7 @@ from thetaheights.elliptic import (
     model_change_q,
     periods_agm,
     point_add,
+    point_mul,
     point_on_curve,
     quadratic_character,
 )
@@ -280,8 +281,9 @@ def _factorint_allowed(E, P):
     """What the elliptic heights may factor for (E, P): gcd(c4, c6) of an
     integral rescaling of E (the minimal model's own, or canonical_height_q's
     integralized model), the lcm of the c-invariant denominators, and on
-    the minimal model the denominator of x(P), the scale u from the
-    integralized model, and g, the gcd of the two partial derivatives at P."""
+    the minimal model the scale u from the integralized model and g, the gcd
+    of the two partial derivatives at P; with them the part of den x(P)
+    prime to u, which must never be factored."""
     c4, c6 = c_invariants(E)
     m = math.lcm(c4.denominator, c6.denominator)
     allowed = {m}
@@ -296,7 +298,10 @@ def _factorint_allowed(E, P):
     a1, a2, a3, a4, _ = a_invariants(Emin)
     g = math.gcd((3 * x * x + 2 * a2 * x + a4 - a1 * y).numerator,
                  (2 * y + a1 * x + a3).numerator)
-    return allowed | {x.denominator, int(c.u), g}
+    d, u = x.denominator, int(c.u)
+    while (k := math.gcd(d, u)) > 1:
+        d //= k
+    return allowed | {u, g}, d
 
 
 @pytest.mark.parametrize("E, P", [
@@ -305,25 +310,32 @@ def _factorint_allowed(E, P):
     (curve_from_a_invariants(0, 0, 0, Fraction(-7, 16), Fraction(1, 64)),
      (0, Fraction(1, 8))),                                           # a non-integral model
     (WeierstrassEquation.make(1, [17 * 6 ** 6, 0, 0, 1], []), (2 * 36, 5 * 216)),  # u = 6
+    (E_37A, point_mul(E_37A, 70, (Fraction(0), Fraction(0)))),       # 109-digit den x
 ])
 def test_factorint_never_sees_a_discriminant(E, P, monkeypatch, ctx):
     # faltings_elliptic and canonical_height_q factor only gcd(c4, c6), model
-    # denominators, g and den x: never Delta, Delta_min or a multiple of either
+    # denominators, u and g: never Delta, Delta_min or a multiple of either,
+    # and never den x(P) or its part d prime to u
     P = (Fraction(P[0]), Fraction(P[1]))
     assert point_on_curve(E, P)
-    allowed = _factorint_allowed(E, P)
+    allowed, d = _factorint_allowed(E, P)
     _, dmin = minimal_model_q(E)
     discs = [dmin, discriminant(E).numerator, discriminant(_integralize(E, P)[0]).numerator]
     log = []
     for module, name in [(weierstrass, "_factorint"), (elliptic, "_factorint"),
                          (local_heights, "_factorint"), (weierstrass, "finite_valuations")]:
         _count_calls(monkeypatch, module, name, log)
+    finite_log = []
+    _count_calls(monkeypatch, local_heights, "_factorint", finite_log)
     faltings_elliptic(E, ctx)
     canonical_height_q(E, P, ctx)
     assert log and all(name == "_factorint" for name, _ in log)
     for _, n in log:
         assert n in allowed, n
         assert all(n % d for d in discs if abs(d) > 1), n
+    # the finite local heights factor u and g, and no prime of d divides either
+    if d > 1:
+        assert all(n % d for _, n in finite_log), d
 
 
 def test_curve_data_computed_once(monkeypatch, tmp_path, ctx):

@@ -9,14 +9,13 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from autissier_quadrature import autissier_quadrature, theta_norm_grid
+from mu_terms import mu_arch_terms
 from residue_heights import ec_batch_cases, residue_lambdas
-from thetaheights.elliptic import curve_from_a_invariants, point_add, point_neg
+from thetaheights.elliptic import curve_from_a_invariants, point_add, point_mul, point_neg
 from thetaheights.errors import DomainError, OrbitCollisionError
 from thetaheights.local_heights import (
     _integralize,
-    _kummer_double,
-    _kummer_line,
-    _kummer_read_back,
+    _kummer_step,
     _lambda_finite_all,
     alpha_arch,
     alpha_finite,
@@ -25,7 +24,6 @@ from thetaheights.local_heights import (
     canonical_height_q,
     mu_arch_closed,
     mu_arch_series,
-    mu_arch_terms,
     mu_tail_bound,
     prop_envelope,
     reduce_point_mod_lattice,
@@ -59,45 +57,46 @@ def test_mu_series_matches_closed_form(ctx):
         assert abs(s - c) <= mu_tail_bound(tau, n, ctx)
 
 
-def test_kummer_step_matches_direct_thetas(ctx):
-    # one step on the Kummer line (t3^2 : t4^2) against the Jacobi thetas
-    # summed directly at 2w; the walk's unit-norm point fixes the scale
-    rng = random.Random(11)
+def _kummer_steps(seed, ctx):
+    """(stepped, direct, scale) for one _kummer_step from w to 2w at 8
+    random w and at w = 0, where t1 = 0: stepped holds the step's X', Y', A'
+    in mpc, times 2^k size^4 to undo the unit-norm start and the step's
+    power-of-two scale, direct the squares t3^2, t4^2, t1^2 summed at 2w,
+    and scale the largest of those squares."""
+    rng = random.Random(seed)
     prec = ctx.working_bits + 16
-    for _ in range(8):
+    for i in range(9):
         tau = random_reduced_tau(1, rng, ctx)
         t = tau.scalar()
-        w = reduce_point_mod_lattice(mpc(rng.random(), 0) + rng.random() * t, tau, ctx)
+        w = mpc(0) if i == 8 else reduce_point_mod_lattice(
+            mpc(rng.random(), 0) + rng.random() * t, tau, ctx)
         nulls = jacobi_thetas(0, tau, ctx)[1:]
         squares = [v * v for v in jacobi_thetas(w, tau, ctx)]
-        direct = [v * v for v in jacobi_thetas(2 * w, tau, ctx)[2:]]
+        t1, _, t3, t4 = jacobi_thetas(2 * w, tau, ctx)
         with mp.workprec(prec):
+            s2, s3, s4 = (v * v for v in nulls)
+            line = tuple(_fixed(v, prec) for v in (s3 / s2, s4 / s2, 1 / s3 ** 3, 1 / s4 ** 3))
             size = mp.fsum(abs(v) for v in squares)
             A, _, X, Y = (_fixed(v / size, prec) for v in squares)
-            stepped = _kummer_double(X, Y, A, _kummer_line(nulls, prec), prec)
-            for a, b in zip(stepped, direct):
-                a = _from_fixed(*a, prec) * size ** 4
-                assert abs(a - b) <= mpf(2) ** -(ctx.bits - 8) * max(1, abs(b))
+            *point, k = _kummer_step(X, Y, A, line, prec)
+            stepped = [_from_fixed(*v, prec) * mpf(2) ** k * size ** 4 for v in point]
+        yield stepped, [t3 * t3, t4 * t4, t1 * t1], max(abs(v) for v in (t1, t3, t4)) ** 2
+
+
+def test_kummer_step_matches_direct_thetas(ctx):
+    # one step on the Kummer line (t3^2 : t4^2) against the Jacobi thetas
+    # summed directly at 2w, up to the step's power-of-two scale
+    for stepped, direct, _ in _kummer_steps(11, ctx):
+        for a, b in zip(stepped[:2], direct[:2]):
+            assert abs(a - b) <= mpf(2) ** -(ctx.bits - 8) * max(1, abs(b))
 
 
 def test_jacobi_quadrics_read_back_the_theta_squares(ctx):
-    # t1^2 and t2^2 read back from the Kummer point (t3^2 : t4^2) by the two
-    # Jacobi quadrics match the direct thetas
-    rng = random.Random(12)
+    # t1^2 read back from the stepped Kummer point (t3^2 : t4^2) by the
+    # folded Jacobi quadric matches the direct thetas; 0 at w = 0
     tol = mpf(2) ** -(ctx.bits - 8)
-    prec = ctx.working_bits + 16
-    for _ in range(8):
-        tau = random_reduced_tau(1, rng, ctx)
-        t = tau.scalar()
-        w = reduce_point_mod_lattice(mpc(rng.random(), 0) + rng.random() * t, tau, ctx)
-        nulls = jacobi_thetas(0, tau, ctx)[1:]
-        x = jacobi_thetas(w, tau, ctx)
-        scale = max(abs(v) for v in x) ** 2
-        with mp.workprec(prec):
-            X, Y = (_fixed(v * v, prec) for v in x[2:])
-            back = _kummer_read_back(X, Y, _kummer_line(nulls, prec), prec)
-            for a, v in zip(back, x[:2]):
-                assert abs(_from_fixed(*a, prec) - v * v) <= tol * scale
+    for stepped, direct, scale in _kummer_steps(12, ctx):
+        assert abs(stepped[2] - direct[2]) <= tol * scale
 
 
 def _mu_cases(rng, ctx, count):
@@ -145,11 +144,12 @@ def test_mu_series_accurate_at_large_imag_tau(bits):
     # the walk loses about pi Im tau / log 2 bits to the Kummer coordinate;
     # the series must still meet 2^-bits against the same terms at bits + 64.
     # -1/(x + 9i), near the cusp 0, is as badly conditioned as Im tau = 9.
+    # At Im tau = 200 the walk's power-of-two shifts vary the most.
     ctx = PrecisionContext(bits=bits)
     n = (bits + 24) // 2
     rng = random.Random(bits + 1)
     for tau in (mpc(rng.uniform(-0.5, 0.5), 10), mpc(rng.uniform(-0.5, 0.5), 20),
-                -1 / mpc(rng.uniform(-0.5, 0.5), 9)):
+                -1 / mpc(rng.uniform(-0.5, 0.5), 9), mpc(rng.uniform(-0.5, 0.5), 200)):
         for _ in range(3):
             z = mpc(rng.random(), 0) + rng.random() * tau
             s = mu_arch_series(z, tau, n, ctx)
@@ -159,8 +159,9 @@ def test_mu_series_accurate_at_large_imag_tau(bits):
 
 @pytest.mark.parametrize("bits", [64, 256, 1024])
 def test_mu_series_one_log_matches_sum_of_term_logs(bits):
-    # the series takes one logarithm of a product; summing 4^-n-1 log E_n
-    # over the terms at bits + 64 must give the same value within 2^-bits
+    # the series telescopes to two logarithms; summing 4^-n-1 log E_n over
+    # the terms of the direct-theta oracle at bits + 64 must give the same
+    # value within 2^-bits
     ctx = PrecisionContext(bits=bits)
     rng = random.Random(bits + 5)
     for im in (0.9, 30):
@@ -413,6 +414,20 @@ def test_canonical_height_doubling_relation(ctx):
         assert abs(h2 - 4 * h1) < mpf(10) ** -8
 
 
+@pytest.mark.parametrize("bits", [64, 128])
+def test_canonical_height_of_seventy_p_on_37a(bits):
+    # den x([70](0, 0)) has 109 digits and a 47-digit composite cofactor; it
+    # is split into blocks, not factored, and hhat([70]P) = 4900 hhat(P)
+    ctx = PrecisionContext(bits=bits)
+    P = (Fraction(0), Fraction(0))
+    Q = point_mul(E_37A, 70, P)
+    assert len(str(Q[0].denominator)) == 109
+    h70, bd = canonical_height_q(E_37A, Q, ctx)
+    h, _ = canonical_height_q(E_37A, P, ctx.higher(64))
+    assert abs(h70 - 4900 * h) <= 4900 * ctx.eps()
+    assert any(not pl.prime for pl, _ in bd.entries if pl.kind == "finite")
+
+
 def test_canonical_height_parallelogram_law(ctx):
     E = WeierstrassEquation.make(1, [17, 0, 0, 1], [])
     P = (Fraction(2), Fraction(5))
@@ -541,11 +556,12 @@ def test_closed_form_matches_residue_oracle_on_ec_batch_decks():
     branches = [0] * 4
     for E, P in cases:
         fin = _lambda_finite_all(*_integralize(E, P))
-        for c, case in fin.values():
+        for c, case, _ in fin.values():
             branches[case] += 1
         for bits in (64, 128):
             with mp.workprec(bits + 32):
-                lam = {p: c.numerator * mp.log(p) / c.denominator for p, (c, _) in fin.items()}
+                lam = {p: c.numerator * mp.log(p) / c.denominator
+                       for p, (c, _, _) in fin.items()}
             assert _finite_gap(lam, E, P, bits) <= mpf(2) ** -bits, (E, P)
     assert min(branches) > 0, branches
 

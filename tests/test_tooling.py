@@ -114,3 +114,52 @@ def test_imports_declared_in_pyproject():
         undeclared += [f"{n} ({where})" for n, where in _third_party_imports(root).items()
                        if n not in declared]
     assert not undeclared, f"imports missing from pyproject.toml: {undeclared}"
+
+
+# Public top-level library functions that __all__ does not export and that no
+# other library module, perfbench/ or scripts/ references: each is to move to
+# tests/ or gain a library caller (ROADMAP item 14), so the list only shrinks.
+TEST_ONLY_FUNCTIONS = {
+    "elliptic.finite_places", "elliptic.j_invariant", "elliptic.kronecker_symbol",
+    "elliptic.point_mul", "elliptic.point_neg", "hyper_faltings.eta_norm_arch",
+    "local_heights.prop_envelope", "local_heights.reduce_point_mod_lattice",
+    "siegel.apply_symplectic", "weierstrass.branch_point_characteristics",
+    "weierstrass.poly_discriminant",
+}
+
+
+def _referenced_names(path: Path) -> set:
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {a.name for a in node.names}
+    return out
+
+
+def test_no_new_test_only_library_functions():
+    repo = SRC.parent.parent
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {n for node in init.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for n in ast.literal_eval(node.value)}
+    assert exported, "no __all__ in the package"
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    users = {p: _referenced_names(p) for p in
+             modules + sorted((repo / "perfbench").glob("*.py")) + sorted((repo / "scripts").glob("*.py"))}
+    found = set()
+    for path in modules:
+        if path.name == "cli.py":       # the entry points main and run
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and node.name not in exported
+                    and not any(node.name in names for p, names in users.items() if p != path)):
+                found.add(f"{path.stem}.{node.name}")
+    assert not found - TEST_ONLY_FUNCTIONS, \
+        f"library functions only tests call; move them to tests/: {sorted(found - TEST_ONLY_FUNCTIONS)}"
+    assert not TEST_ONLY_FUNCTIONS - found, \
+        f"now called by the library; drop from the list: {sorted(TEST_ONLY_FUNCTIONS - found)}"
